@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.common.units import kib
 from repro.validate.predicates import (
+    Predicate,
     PredicateResult,
     knee_between,
     never_below,
@@ -22,18 +23,18 @@ from repro.validate.spec import Claim, ReportSet, on_reports, on_series
 _CITE = "Fig. 2, S3.1"
 
 
-def _ra_floor(reports: ReportSet) -> PredicateResult:
-    """RA >= 1 on every CpX curve (buffer exclusive to CPU caches)."""
-    check = never_below(1.0)
-    worst = None
-    for cpx in (1, 2, 3, 4):
-        name = f"read {cpx} cacheline" + ("s" if cpx > 1 else "")
-        result = check(reports.curve(name))
-        if worst is None or not result.passed:
-            worst = result
-        if not result.passed:
-            return PredicateResult(False, f"{name}: {result.measured}", result.expected)
-    return worst
+def _every_cpx(predicate: Predicate):
+    """``predicate`` holds on every CpX curve (first failure reported)."""
+
+    def check(reports: ReportSet) -> PredicateResult:
+        for cpx in (1, 2, 3, 4):
+            name = f"read {cpx} cacheline" + ("s" if cpx > 1 else "")
+            result = predicate(reports.curve(name))
+            if not result.passed:
+                return PredicateResult(False, f"{name}: {result.measured}", result.expected)
+        return result
+
+    return check
 
 
 CLAIMS = (
@@ -87,7 +88,14 @@ CLAIMS = (
         experiment="fig2", generation=1,
         claim="RA never drops below 1 (buffer does not batch across misses)",
         citation=_CITE,
-        check=on_reports(_ra_floor),
+        check=on_reports(_every_cpx(never_below(1.0))),
+    ),
+    Claim(
+        id="E1/fifo-step-every-cpx",
+        experiment="fig2", generation=1,
+        claim="past capacity every CpX pays the full RA = 4 (no partial reuse survives FIFO)",
+        citation=_CITE,
+        check=on_reports(_every_cpx(plateau(4.0, 0.02, x_min=kib(18)))),
     ),
     Claim(
         id="E1/ra-plateau-g2",
@@ -105,5 +113,33 @@ CLAIMS = (
             "read 4 cachelines",
             knee_between(kib(23), kib(24), baseline=1.0),
         ),
+    ),
+    Claim(
+        id="E1/ra-plateau-cpx2-g2",
+        experiment="fig2", generation=2,
+        claim="G2 holds RA = 2 through 22 KB (CpX = 2)",
+        citation=_CITE,
+        check=on_series("read 2 cachelines", plateau(2.0, 0.02, x_max=kib(22))),
+    ),
+    Claim(
+        id="E1/ra-cpx1-worstcase-g2",
+        experiment="fig2", generation=2,
+        claim="CpX = 1 pays the full 4x amplification at every WSS on G2 too",
+        citation=_CITE,
+        check=on_series("read 1 cacheline", plateau(4.0, 0.02)),
+    ),
+    Claim(
+        id="E1/fifo-step-every-cpx-g2",
+        experiment="fig2", generation=2,
+        claim="past G2's capacity every CpX pays RA = 4 at once (FIFO eviction)",
+        citation=_CITE,
+        check=on_reports(_every_cpx(plateau(4.0, 0.02, x_min=kib(24)))),
+    ),
+    Claim(
+        id="E1/ra-floor-g2",
+        experiment="fig2", generation=2,
+        claim="RA never drops below 1 on G2 either",
+        citation=_CITE,
+        check=on_reports(_every_cpx(never_below(1.0))),
     ),
 )

@@ -31,9 +31,9 @@ _CITE = "Fig. 3, S3.2"
 _PARTIAL = ("25% write", "50% write", "75% write")
 
 
-def _absorbed(series: tuple, x_max: int):
-    """WA pinned at 0 for every listed series up to ``x_max``."""
-    check = plateau(0.0, 0.01, x_max=x_max)
+def _absorbed(series: tuple, x_max: int, tol: float = 0.01):
+    """WA pinned at 0 (+/- ``tol``) for every listed series up to ``x_max``."""
+    check = plateau(0.0, tol, x_max=x_max)
 
     def evaluate(reports: ReportSet) -> PredicateResult:
         last = None
@@ -123,6 +123,27 @@ CLAIMS = (
         check=on_series("100% write", within(0.75, 1.05)),
     ),
     Claim(
+        id="E3/no-media-writes-in-buffer",
+        experiment="fig3", generation=1,
+        claim="while WSS fits, partial writes reach the media not at all (WA exactly 0)",
+        citation=_CITE,
+        check=on_reports(_absorbed(_PARTIAL, kib(8), tol=0.0)),
+    ),
+    Claim(
+        id="E3/full-writes-written-back-small",
+        experiment="fig3", generation=1,
+        claim="even a WSS that fits the buffer writes full lines back (WA > 0.8 at 8 KB)",
+        citation=_CITE,
+        check=on_series("100% write", within(0.8, 1.05, at_x=kib(8))),
+    ),
+    Claim(
+        id="E3/wa-at-most-4",
+        experiment="fig3", generation=1,
+        claim="25%-write WA never exceeds the theoretical 4/k = 4",
+        citation=_CITE,
+        check=on_series("25% write", within(0.0, 4.0 + 1e-9)),
+    ),
+    Claim(
         id="E3/absorbed-g2",
         experiment="fig3", generation=2,
         claim="G2's 16 KB buffer (no periodic write-back) absorbs ALL writes, "
@@ -147,5 +168,18 @@ CLAIMS = (
             "25% write", monotone_rise(x_min=kib(18), tol=0.02, min_gain=1.5)
         ),
     ),
+    Claim(
+        id="E3/partial-wa-converges-g2",
+        experiment="fig3", generation=2,
+        claim="G2's WA at 32 KB also approaches 4/k per write fraction",
+        citation=_CITE,
+        check=on_reports(_converges),
+    ),
+    Claim(
+        id="E3/wa-at-most-4-g2",
+        experiment="fig3", generation=2,
+        claim="G2's 25%-write WA never exceeds the theoretical 4",
+        citation=_CITE,
+        check=on_series("25% write", within(0.0, 4.0 + 1e-9)),
+    ),
 )
-

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.common.units import kib
 from repro.validate.predicates import (
+    PredicateResult,
     all_of,
     knee_between,
     monotone_decay,
@@ -21,9 +22,22 @@ from repro.validate.predicates import (
     plateau,
     within,
 )
-from repro.validate.spec import Claim, on_pair, on_series
+from repro.validate.spec import Claim, ReportSet, on_pair, on_reports, on_series
 
 _CITE = "Fig. 4, S3.2"
+
+
+def _no_cliff(series: str):
+    """No drop between adjacent grid points reaches 0.5 (a FIFO cliff would)."""
+
+    def check(reports: ReportSet) -> PredicateResult:
+        y = reports.curve(series).y
+        drop = max(a - b for a, b in zip(y, y[1:]))
+        return PredicateResult(
+            drop < 0.5, f"largest step drop {drop:.3f}", "every step drop < 0.5"
+        )
+
+    return check
 
 CLAIMS = (
     Claim(
@@ -90,5 +104,19 @@ CLAIMS = (
         check=on_pair(
             "G2 Optane", "G1 Optane", ordering(margin=0.0, higher_is_better=True)
         ),
+    ),
+    Claim(
+        id="E4/no-cliff",
+        experiment="fig4", generation=1,
+        claim="G1's hit ratio never falls off a cliff between adjacent WSS points",
+        citation=_CITE,
+        check=on_reports(_no_cliff("G1 Optane")),
+    ),
+    Claim(
+        id="E4/no-cliff-g2",
+        experiment="fig4", generation=1,
+        claim="G2's hit ratio never falls off a cliff either",
+        citation=_CITE,
+        check=on_reports(_no_cliff("G2 Optane")),
     ),
 )

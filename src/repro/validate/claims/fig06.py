@@ -10,7 +10,7 @@ and iMC together.
 
 from __future__ import annotations
 
-from repro.common.units import mib
+from repro.common.units import kib, mib
 from repro.validate.predicates import (
     all_of,
     monotone_rise,
@@ -41,6 +41,58 @@ def _no_prefetch_flat(gen: int):
                                "ratio 1.0 at every WSS with prefetching off")
 
     return check
+
+
+def _dcu_claims(gen: int) -> tuple:
+    """The DCU-streamer claims, which hold alike on both generations."""
+    pm, imc = f"PM (G{gen})", f"iMC (G{gen})"
+    suffix = "" if gen == 1 else "-g2"
+    return (
+        Claim(
+            id=f"E2/dcu-discards-before-imc{suffix}",
+            experiment="fig6", generation=gen,
+            claim="DCU streamer: PM ratio ~2x while iMC stays near 1 "
+                  "(prefetches discarded before the iMC)",
+            citation=_CITE,
+            allowance="iMC drifts to ~1.23, a touch above the paper's ~1.1",
+            check=on_pair(
+                pm, imc,
+                ordering(margin=0.3, higher_is_better=True, x_min=mib(1)),
+                report="-DCU",
+            ),
+        ),
+        Claim(
+            id=f"E2/dcu-imc-near-one{suffix}",
+            experiment="fig6", generation=gen,
+            claim="DCU streamer keeps the iMC read ratio below ~1.35",
+            citation=_CITE,
+            check=on_series(imc, within(0.95, 1.35), report="-DCU"),
+        ),
+        Claim(
+            id=f"E2/dcu-pm-overfetch{suffix}",
+            experiment="fig6", generation=gen,
+            claim="DCU streamer drives PM reads past 1.5x, toward ~2x, beyond the caches",
+            citation=_CITE,
+            check=on_series(pm, within(1.5, 2.05, at_x=_BIG), report="-DCU"),
+        ),
+        Claim(
+            id=f"E2/dcu-small-wss-harmless{suffix}",
+            experiment="fig6", generation=gen,
+            claim="at 4 KB DCU prefetches land in the read buffer: PM ratio below 1.3",
+            citation=_CITE,
+            check=on_series(pm, within(0.0, 1.3, at_x=kib(4)), report="-DCU"),
+        ),
+        Claim(
+            id=f"E2/hardware-below-dcu{suffix}",
+            experiment="fig6", generation=gen,
+            claim="the L2 streamer overfetches less PM data than the DCU streamer",
+            citation=_CITE,
+            check=on_pair(
+                pm, pm, ordering(x_min=_BIG),
+                report="-hardware", reference_report="-DCU",
+            ),
+        ),
+    )
 
 
 CLAIMS = (
@@ -76,26 +128,7 @@ CLAIMS = (
             report="-adjacent",
         ),
     ),
-    Claim(
-        id="E2/dcu-discards-before-imc",
-        experiment="fig6", generation=1,
-        claim="DCU streamer: PM ratio ~2x while iMC stays near 1 "
-              "(prefetches discarded before the iMC)",
-        citation=_CITE,
-        allowance="iMC drifts to ~1.23, a touch above the paper's ~1.1",
-        check=on_pair(
-            "PM (G1)", "iMC (G1)",
-            ordering(margin=0.3, higher_is_better=True, x_min=mib(1)),
-            report="-DCU",
-        ),
-    ),
-    Claim(
-        id="E2/dcu-imc-near-one",
-        experiment="fig6", generation=1,
-        claim="DCU streamer keeps the iMC read ratio below ~1.35",
-        citation=_CITE,
-        check=on_series("iMC (G1)", within(0.95, 1.35), report="-DCU"),
-    ),
+    *_dcu_claims(1),
     Claim(
         id="E2/hardware-tracks-imc",
         experiment="fig6", generation=1,
@@ -123,4 +156,5 @@ CLAIMS = (
             "PM (G2)", within(1.75, 2.05, at_x=_BIG), report="-adjacent"
         ),
     ),
+    *_dcu_claims(2),
 )

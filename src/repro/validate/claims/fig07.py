@@ -94,6 +94,27 @@ CLAIMS = (
         check=on_series("clwb+mfence", peak_over_floor(2.0, 3.2), report="-dram"),
     ),
     Claim(
+        id="E5/near-far-gap",
+        experiment="fig7", generation=1,
+        claim="a distance-0 RAP costs >4x a distance-32 read (clwb+mfence)",
+        citation=_CITE,
+        check=on_series("clwb+mfence", span_ratio(32, 0, 4.0, 12.0), report="-pm"),
+    ),
+    Claim(
+        id="E5/nt-near-far-gap",
+        experiment="fig7", generation=1,
+        claim="nt-store+mfence pays >3x at distance 0 over distance 32",
+        citation=_CITE,
+        check=on_series("nt-store+mfence", span_ratio(32, 0, 3.0, 12.0), report="-pm"),
+    ),
+    Claim(
+        id="E5/sfence-window-d1",
+        experiment="fig7", generation=1,
+        claim="the sfence window still hides the penalty at distance 1",
+        citation=_CITE,
+        check=on_series("clwb+sfence", within(0, 400, at_x=1), report="-pm"),
+    ),
+    Claim(
         id="E5/g2-clwb-flat",
         experiment="fig7", generation=2,
         claim="eADR removes the clwb RAP penalty on G2: latency is flat",
@@ -120,5 +141,26 @@ CLAIMS = (
             "clwb+sfence", "clwb+mfence", ratio_approx(1.0, 0.001, at_x=0),
             report="-pm",
         ),
+    ),
+    Claim(
+        id="E5/g2-clwb-level",
+        experiment="fig7", generation=2,
+        claim="G2 clwb+mfence reads right after a persist cost under 500 cycles",
+        citation=_CITE,
+        check=on_series("clwb+mfence", within(0, 500, at_x=0), report="-pm"),
+    ),
+    Claim(
+        id="E5/g2-nt-near-far-gap",
+        experiment="fig7", generation=2,
+        claim="G2 nt-store+mfence pays >3x at distance 0 over distance 32",
+        citation=_CITE,
+        check=on_series("nt-store+mfence", span_ratio(32, 0, 3.0, 7.0), report="-pm"),
+    ),
+    Claim(
+        id="E5/g2-dram-gap",
+        experiment="fig7", generation=2,
+        claim="G2 DRAM's distance-0 to distance-32 gap stays below 5x",
+        citation=_CITE,
+        check=on_series("clwb+mfence", span_ratio(32, 0, 0.0, 5.0), report="-dram"),
     ),
 )

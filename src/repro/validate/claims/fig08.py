@@ -15,6 +15,8 @@ from repro.common.units import kib, mib
 from repro.validate.predicates import (
     PredicateResult,
     flat_wrt_wss,
+    ordering,
+    peak_over_floor,
     ratio_approx,
     span_ratio,
     within,
@@ -41,6 +43,17 @@ def _cross_report_ratio(series: str, subject_report: str, reference_report: str,
         )
 
     return check
+
+
+def _three_levels(reports: ReportSet) -> PredicateResult:
+    """Strict random chain: in-cache < in-buffer plateau < media-bound."""
+    curve = reports.curve("rand_clwb", "fig8a")
+    levels = [curve.y_at(x) for x in (kib(4), kib(256), _BIG)]
+    return PredicateResult(
+        levels[0] < levels[1] < levels[2],
+        " < ".join(f"{level:.4g}" for level in levels),
+        "y(4 KB) < y(256 KB) < y(64 MB)",
+    )
 
 
 CLAIMS = (
@@ -102,6 +115,49 @@ CLAIMS = (
         citation=_CITE,
         check=on_series("rand_rd", within(0, 50, x_max=mib(4)), report="fig8c"),
         allowance="checked through 4 MB; beyond that reads hit the media",
+    ),
+    Claim(
+        id="E6/three-levels",
+        experiment="fig8", generation=1,
+        claim="strict random writes show three rising latency levels: "
+              "in-cache, in-buffer, media-bound",
+        citation=_CITE,
+        check=on_reports(_three_levels),
+    ),
+    Claim(
+        id="E6/relaxed-helps-small-rand",
+        experiment="fig8", generation=1,
+        claim="relaxed persistency is >3x cheaper in-cache on the random chain too",
+        citation=_CITE,
+        check=on_reports(
+            _cross_report_ratio("rand_clwb", "fig8b", "fig8a", kib(4), 0.1, 0.35)
+        ),
+    ),
+    Claim(
+        id="E6/relaxed-converges-plateau",
+        experiment="fig8", generation=1,
+        claim="at the 256 KB plateau relaxed and strict random writes are within 30%",
+        citation=_CITE,
+        check=on_reports(
+            _cross_report_ratio("rand_clwb", "fig8b", "fig8a", kib(256), 0.7, 1.3)
+        ),
+    ),
+    Claim(
+        id="E6/seq-writes-flat",
+        experiment="fig8", generation=1,
+        claim="pure sequential writes stay flat too: max below 1.5x min at any WSS",
+        citation=_CITE,
+        check=on_series("seq_wr", peak_over_floor(1.0, 1.5), report="fig8c"),
+    ),
+    Claim(
+        id="E6/reads-dominate-writes",
+        experiment="fig8", generation=1,
+        claim="beyond the caches random reads cost more than random writes",
+        citation=_CITE,
+        check=on_pair(
+            "rand_rd", "rand_wr",
+            ordering(higher_is_better=True, x_min=_BIG), report="fig8c",
+        ),
     ),
     Claim(
         id="E6/g2-nt-relaxed-fast",

@@ -10,8 +10,8 @@ count saturates the DIMM.
 
 from __future__ import annotations
 
-from repro.validate.predicates import PredicateResult, ordering, ratio_approx
-from repro.validate.spec import Claim, ReportSet, on_pair, on_reports
+from repro.validate.predicates import PredicateResult, ordering, ratio_approx, span_ratio
+from repro.validate.spec import Claim, ReportSet, on_pair, on_reports, on_series
 
 _CITE = "Fig. 10, S4.1"
 
@@ -67,6 +67,23 @@ CLAIMS = (
             "latency CCEH+prefetch", "latency CCEH",
             ordering(margin=0.0, higher_is_better=True), report="-dram",
         ),
+    ),
+    Claim(
+        id="E7B/pm-win-low-counts",
+        experiment="fig10", generation=1,
+        claim="on PM the helper lowers latency at every count up to 6 workers",
+        citation=_CITE,
+        check=on_pair(
+            "latency CCEH+prefetch", "latency CCEH",
+            ordering(x_max=6), report="-pm",
+        ),
+    ),
+    Claim(
+        id="E7B/baseline-tput-scales",
+        experiment="fig10", generation=1,
+        claim="baseline PM throughput grows from 1 to 10 workers (sub-linearly)",
+        citation=_CITE,
+        check=on_series("tput CCEH", span_ratio(1, 10, 1.0, 10.0), report="-pm"),
     ),
     Claim(
         id="E7B/pm-latency-win-g2",

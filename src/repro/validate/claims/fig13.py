@@ -57,4 +57,17 @@ CLAIMS = (
         citation=_CITE,
         check=on_series("Optimized PM", plateau(1.0, 0.005)),
     ),
+    Claim(
+        id="E9A/baseline-overfetch-g2",
+        experiment="fig13", generation=2,
+        claim="prefetching inflates G2 PM reads to ~1.9x beyond the caches",
+        citation=_CITE,
+        check=on_series(
+            "PM with prefetching",
+            all_of(
+                within(1.8, 2.05, at_x=mib(64)),
+                monotone_rise(tol=0.005, min_gain=0.8),
+            ),
+        ),
+    ),
 )

@@ -12,12 +12,23 @@ paper's ~12 — the simulator's port model saturates the DIMM earlier.
 
 from __future__ import annotations
 
-from repro.validate.predicates import crossover_at, ratio_approx
-from repro.validate.spec import Claim, on_pair
+from repro.validate.predicates import PredicateResult, crossover_at, ordering, ratio_approx
+from repro.validate.spec import Claim, ReportSet, on_pair, on_reports
 
 _CITE = "Fig. 14, S4.3"
 
 _DEVIATION = "crossover at ~4 threads vs the paper's ~12 (earlier saturation)"
+
+def _keeps_scaling(reports: ReportSet) -> PredicateResult:
+    """Optimized tput at the top count > 1.5x the baseline's second point."""
+    optimized = reports.curve("tput optimized").y[-1]
+    baseline = reports.curve("tput baseline").y[1]
+    return PredicateResult(
+        optimized > 1.5 * baseline,
+        f"optimized {optimized:.3f} vs baseline {baseline:.3f} ({optimized / baseline:.2f}x)",
+        "optimized tput at the top thread count > 1.5x baseline at the second",
+    )
+
 
 CLAIMS = (
     Claim(
@@ -50,6 +61,24 @@ CLAIMS = (
             "latency optimized", "latency baseline",
             ratio_approx(0.42, 0.15, at_x=16),
         ),
+    ),
+    Claim(
+        id="E9B/single-thread-loss",
+        experiment="fig14", generation=1,
+        claim="single-threaded, the extra copy makes redirection slower",
+        citation=_CITE,
+        check=on_pair(
+            "latency optimized", "latency baseline",
+            ordering(higher_is_better=True, x_max=1),
+        ),
+    ),
+    Claim(
+        id="E9B/optimized-keeps-scaling",
+        experiment="fig14", generation=1,
+        claim="the baseline saturates on wasted media reads while the "
+              "optimized layout keeps scaling past it",
+        citation=_CITE,
+        check=on_reports(_keeps_scaling),
     ),
     Claim(
         id="E9B/latency-crossover-g2",

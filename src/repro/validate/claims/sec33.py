@@ -30,6 +30,17 @@ def _separation(reports: ReportSet) -> PredicateResult:
     )
 
 
+def _media_matches_baseline(reports: ReportSet) -> PredicateResult:
+    """Interleaving adds no media writes over the isolated baseline."""
+    interleaved = reports.value("value", "interleaved media writes (B)")
+    baseline = reports.value("value", "baseline media writes (B)")
+    return PredicateResult(
+        interleaved == baseline,
+        f"{interleaved:.0f} B interleaved vs {baseline:.0f} B baseline",
+        "interleaved media writes == baseline media writes",
+    )
+
+
 def _media_ratio(reports: ReportSet) -> PredicateResult:
     """Quarter-line writes cost a quarter of iMC traffic at the media."""
     ratio = reports.value("value", "transition media/iMC traffic")
@@ -60,6 +71,14 @@ CLAIMS = (
         check=on_reports(_separation),
     ),
     Claim(
+        id="S33/media-matches-baseline",
+        experiment="sec33", generation=1,
+        claim="interleaving reads into the write stream leaves media writes "
+              "exactly at the isolated baseline's",
+        citation=_CITE,
+        check=on_reports(_media_matches_baseline),
+    ),
+    Claim(
         id="S33/media-below-imc",
         experiment="sec33", generation=1,
         claim="transitions keep media traffic at ~1/4 of iMC traffic for "
@@ -80,5 +99,26 @@ CLAIMS = (
         claim="buffer separation holds on G2 as well",
         citation=_CITE,
         check=on_reports(_separation),
+    ),
+    Claim(
+        id="S33/media-matches-baseline-g2",
+        experiment="sec33", generation=2,
+        claim="media writes match the isolated baseline on G2 as well",
+        citation=_CITE,
+        check=on_reports(_media_matches_baseline),
+    ),
+    Claim(
+        id="S33/media-below-imc-g2",
+        experiment="sec33", generation=2,
+        claim="G2 transitions also keep media traffic at ~1/4 of iMC traffic",
+        citation=_CITE,
+        check=on_reports(_media_ratio),
+    ),
+    Claim(
+        id="S33/rmw-avoided-g2",
+        experiment="sec33", generation=2,
+        claim="G2 writes to read-buffered XPLines transition without an RMW",
+        citation=_CITE,
+        check=on_reports(_rmw_avoided),
     ),
 )

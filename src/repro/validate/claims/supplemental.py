@@ -15,10 +15,12 @@ from repro.validate.predicates import (
     all_of,
     flat_wrt_wss,
     monotone_rise,
+    ordering,
+    plateau,
     span_ratio,
     within,
 )
-from repro.validate.spec import Claim, ReportSet, on_reports, on_series
+from repro.validate.spec import Claim, ReportSet, on_pair, on_reports, on_series
 
 _CITE_BW = "Fig. 1, S2"
 _CITE_LOCK = "S3.5 case study"
@@ -59,6 +61,17 @@ def _wbuf_eviction(reports: ReportSet) -> PredicateResult:
         ok,
         f"past 14 KB fifo max {max(fifo_curve.y):.3f}, random min {min(random_curve.y):.3f}",
         "fifo hit ratio == 0 past capacity while random stays >= 0.15",
+    )
+
+
+def _eviction_gap(reports: ReportSet) -> PredicateResult:
+    """At 14 KB random eviction's hit ratio beats FIFO's by > 0.3."""
+    random_hits = reports.curve("random eviction", "wbuf-eviction").y_at(kib(14))
+    fifo_hits = reports.curve("fifo eviction", "wbuf-eviction").y_at(kib(14))
+    return PredicateResult(
+        random_hits > fifo_hits + 0.3,
+        f"at 14 KB random {random_hits:.3f} vs fifo {fifo_hits:.3f}",
+        "random hit ratio > fifo + 0.3 at 14 KB",
     )
 
 
@@ -126,6 +139,20 @@ CLAIMS = (
         ),
     ),
     Claim(
+        id="SUP/bw-seq-read-3x",
+        experiment="bandwidth", generation=1,
+        claim="8 threads read sequentially >3x faster than one (at most linear)",
+        citation=_CITE_BW,
+        check=on_series("seq-read", span_ratio(1, 8, 3.0, 8.0)),
+    ),
+    Claim(
+        id="SUP/bw-seq-beats-random",
+        experiment="bandwidth", generation=1,
+        claim="sequential reads out-run random 64 B reads at every thread count",
+        citation=_CITE_BW,
+        check=on_pair("seq-read", "rand-read", ordering(higher_is_better=True)),
+    ),
+    Claim(
         id="SUP/bw-rand-read-caps",
         experiment="bandwidth", generation=1,
         claim="random read bandwidth caps far below sequential (~0.7 GB/s)",
@@ -184,6 +211,22 @@ CLAIMS = (
         claim="random vs FIFO write-buffer eviction is observable: FIFO cliffs",
         citation=_CITE_ABL,
         check=on_reports(_wbuf_eviction),
+    ),
+    Claim(
+        id="ABL/fifo-hits-zero",
+        experiment="ablations", generation=1,
+        claim="past capacity the cyclic pattern never hits a FIFO write buffer",
+        citation=_CITE_ABL,
+        check=on_series(
+            "fifo eviction", plateau(0.0, 0.0, x_min=kib(14)), report="wbuf-eviction"
+        ),
+    ),
+    Claim(
+        id="ABL/random-beats-fifo",
+        experiment="ablations", generation=1,
+        claim="just past capacity random eviction still hits >0.3 more often than FIFO",
+        citation=_CITE_ABL,
+        check=on_reports(_eviction_gap),
     ),
     Claim(
         id="ABL/periodic-writeback-discriminates",

@@ -63,7 +63,8 @@ MUTATIONS: dict[str, Mutation] = {
             {"optane": {"write_buffer_bytes": XPLINE_SIZE}},
             # Kills absorption and both generations' capacity knees and
             # decay shapes (fig4's report carries the G2 series too).
-            ("E3/absorbed-below-capacity", "E3/knee-g1", "E3/partial-wa-rises",
+            ("E3/absorbed-below-capacity", "E3/no-media-writes-in-buffer",
+             "E3/knee-g1", "E3/partial-wa-rises",
              "E4/full-hit-*", "E4/knee-*", "E4/graceful-decay*"),
         ),
         Mutation(
@@ -72,13 +73,13 @@ MUTATIONS: dict[str, Mutation] = {
             # fig4's *random* write stream cannot tell the policies apart;
             # the cyclic ablation workload is the discriminating probe.
             {"optane": {"write_buffer_eviction": "fifo"}},
-            ("ABL/wbuf-eviction-discriminates",),
+            ("ABL/wbuf-eviction-discriminates", "ABL/random-beats-fifo"),
         ),
         Mutation(
             "periodic_writeback", "off",
             "disable G1's periodic full-line write-back",
             {"optane": {"periodic_writeback": False}},
-            ("E3/full-writes-wa-one",),
+            ("E3/full-writes-wa-one", "E3/full-writes-written-back-small"),
         ),
         Mutation(
             "transition", "off",

@@ -104,8 +104,9 @@ class TestSec33Separation:
         assert result.interleaved_media_write_bytes == 0
 
     def test_transition_traffic_far_below_imc(self):
-        result = run_transition_probe(1)
-        assert result.media_traffic_fraction < 0.5
+        for generation in (1, 2):
+            result = run_transition_probe(generation)
+            assert result.media_traffic_fraction < 0.5, generation
 
     def test_read_first_transition_avoids_rmw(self):
         result = run_transition_probe(1, write_first=False)

@@ -230,6 +230,12 @@ class TestClaimRegistry:
             assert claim.citation
             assert claim.claim
 
+    def test_every_experiment_has_a_claim(self):
+        claimed = {c.experiment for c in all_claims()}
+        unclaimed = [name for name in REGISTRY
+                     if not name.startswith("crash-") and name not in claimed]
+        assert unclaimed == []
+
     def test_both_generations_covered(self):
         generations = {c.generation for c in all_claims()}
         assert generations == {1, 2}
