@@ -12,23 +12,15 @@ from repro.core.microbench.rap import (
     FIGURE7_PANELS,
     RapCurve,
     RapPoint,
-    figure7_curves,
     rap_curve,
     run_rap_iterations,
 )
-from repro.core.microbench.strided_read import (
-    StridedReadResult,
-    default_wss_points,
-    run_strided_read,
-    strided_read_sweep,
-)
+from repro.core.microbench.strided_read import StridedReadResult, run_strided_read
 from repro.core.microbench.write_amp import (
     WriteAmplificationResult,
     WriteHitResult,
     run_write_amplification,
     run_write_hit_ratio,
-    write_amplification_sweep,
-    write_hit_sweep,
 )
 
 __all__ = [
@@ -43,17 +35,12 @@ __all__ = [
     "FIGURE7_PANELS",
     "RapCurve",
     "RapPoint",
-    "figure7_curves",
     "rap_curve",
     "run_rap_iterations",
     "StridedReadResult",
-    "default_wss_points",
     "run_strided_read",
-    "strided_read_sweep",
     "WriteAmplificationResult",
     "WriteHitResult",
     "run_write_amplification",
     "run_write_hit_ratio",
-    "write_amplification_sweep",
-    "write_hit_sweep",
 ]

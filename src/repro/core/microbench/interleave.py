@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.units import kib
-from repro.system.machine import Machine
 from repro.system.presets import machine_for
 
 

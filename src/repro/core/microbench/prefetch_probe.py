@@ -14,10 +14,12 @@ Two read ratios are reported against the *program-demanded* bytes
 * ``imc_read_ratio``  — bytes the iMC loaded from the DIMM.
 
 The same kernel, with ``redirect=True``, implements the paper's
-Algorithm 2 optimization (Figures 13/14): the block is copied to a
-DRAM staging buffer with SIMD streaming loads (which neither trigger
+Algorithm 2 optimization (Figure 13): the block is copied to a DRAM
+staging buffer with SIMD streaming loads (which neither trigger
 prefetching nor fill the caches) and the repeated accesses hit the
-DRAM buffer instead.
+DRAM buffer instead.  Figure 14 drives the same two block visitors,
+:func:`visit_block` and :func:`visit_block_redirected`, from several
+interleaved threads.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, CACHELINES_PER_XPLINE, XPLINE_SIZE
 from repro.common.rng import DeterministicRng
+from repro.core.redirection import RedirectionBuffer, redirect_block
 from repro.system.machine import Core, Machine
 
 
@@ -40,8 +43,12 @@ class PrefetchProbeResult:
     visits: int
 
 
-def _visit_block(core: Core, block_base: int, repeats: int) -> None:
-    """Read all 4 cachelines of the block ``repeats`` times, then flush."""
+def visit_block(core: Core, block_base: int, repeats: int) -> None:
+    """Baseline visit: read the block's 4 cachelines ``repeats`` times, then flush.
+
+    The sequential reads train the CPU prefetchers; the clflushopt +
+    sfence afterwards makes the block's next visit reach the DIMM.
+    """
     for _ in range(repeats):
         for slot in range(CACHELINES_PER_XPLINE):
             core.load(block_base + slot * CACHELINE_SIZE, 8)
@@ -50,11 +57,14 @@ def _visit_block(core: Core, block_base: int, repeats: int) -> None:
     core.sfence()
 
 
-def _visit_block_redirected(core: Core, block_base: int, staging: int, repeats: int) -> None:
-    """Algorithm 2: stream-copy the XPLine to DRAM, then work there."""
-    for slot in range(CACHELINES_PER_XPLINE):
-        core.stream_load(block_base + slot * CACHELINE_SIZE, CACHELINE_SIZE)
-        core.store(staging + slot * CACHELINE_SIZE, CACHELINE_SIZE)
+def visit_block_redirected(core: Core, block_base: int, staging: int, repeats: int) -> None:
+    """Algorithm 2 visit: stream-copy the XPLine to DRAM at ``staging``, then work there.
+
+    The copy is :func:`~repro.core.redirection.redirect_block`; the
+    ``repeats`` passes of reads then hit the DRAM staging lines, so no
+    prefetcher is trained on the PM block.
+    """
+    redirect_block(core, block_base, RedirectionBuffer(staging))
     for _ in range(repeats):
         for slot in range(CACHELINES_PER_XPLINE):
             core.load(staging + slot * CACHELINE_SIZE, 8)
@@ -66,42 +76,35 @@ def run_prefetch_probe(
     visits: int = 20_000,
     repeats: int = 16,
     redirect: bool = False,
-    region: str = "pm",
-    warmup_fraction: float = 0.25,
-    core: Core | None = None,
 ) -> PrefetchProbeResult:
     """Run the Figure 6 / Figure 13 kernel on an existing machine.
 
-    ``visits`` random block visits are performed; the first
-    ``warmup_fraction`` of them warm the caches and buffers before
-    counters are sampled.  Passing ``core`` lets multi-thread harnesses
-    (Figure 14) reuse the kernel per thread.
+    ``visits`` random block visits are performed on the ``pm`` region;
+    the first quarter of them warm the caches and buffers before
+    counters are sampled.
     """
-    if core is None:
-        core = machine.new_core()
-    base = machine.region_spec(region).base
+    core = machine.new_core()
+    base = machine.region_spec("pm").base
     n_blocks = max(1, wss // XPLINE_SIZE)
     rng = DeterministicRng(machine.config.seed).fork(17)
     staging = machine.region_spec("dram").base  # one XPLine of DRAM scratch
 
-    warmup = int(visits * warmup_fraction)
-    for _ in range(warmup):
+    def visit() -> None:
         block = base + rng.choice_index(n_blocks) * XPLINE_SIZE
         if redirect:
-            _visit_block_redirected(core, block, staging, repeats)
+            visit_block_redirected(core, block, staging, repeats)
         else:
-            _visit_block(core, block, repeats)
+            visit_block(core, block, repeats)
 
-    counters = machine.counters(region)
-    snapshot = counters.snapshot()
+    warmup = visits // 4
+    for _ in range(warmup):
+        visit()
+
+    snapshot = machine.counters("pm").snapshot()
     measured = visits - warmup
     for _ in range(measured):
-        block = base + rng.choice_index(n_blocks) * XPLINE_SIZE
-        if redirect:
-            _visit_block_redirected(core, block, staging, repeats)
-        else:
-            _visit_block(core, block, repeats)
-    delta = machine.counters(region).delta(snapshot)
+        visit()
+    delta = machine.counters("pm").delta(snapshot)
 
     demanded = measured * XPLINE_SIZE  # 4 × 64 B of unique data per visit
     return PrefetchProbeResult(

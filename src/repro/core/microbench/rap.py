@@ -142,16 +142,3 @@ FIGURE7_PANELS: tuple[tuple[str, tuple[tuple[FlushKind, FenceKind], ...]], ...] 
         ),
     ),
 )
-
-
-def figure7_curves(
-    generation: int,
-    distances: tuple[int, ...] = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40),
-    passes: int = 30,
-) -> list[RapCurve]:
-    """All curves of one Figure 7 row (one generation)."""
-    curves = []
-    for region, combos in FIGURE7_PANELS:
-        for flush, fence in combos:
-            curves.append(rap_curve(generation, region, flush, fence, distances, passes=passes))
-    return curves

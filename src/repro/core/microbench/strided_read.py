@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.prefetch import PrefetcherConfig
-from repro.common.constants import XPLINE_SIZE
 from repro.system.machine import Machine
-from repro.system.presets import machine_for
 from repro.workloads.patterns import strided_read_addresses
 
 
@@ -57,28 +54,3 @@ def run_strided_read(
         read_amplification=delta.read_amplification,
         buffer_hit_ratio=delta.read_buffer_hit_ratio,
     )
-
-
-def strided_read_sweep(
-    generation: int,
-    wss_points: list[int],
-    cpx_values: tuple[int, ...] = (1, 2, 3, 4),
-    cycles_over_region: int = 6,
-) -> list[StridedReadResult]:
-    """Full Figure 2 sweep: fresh machine per point, prefetchers off.
-
-    Prefetchers are disabled because the probe measures the *DIMM's*
-    buffering; the paper's testbeds toggle CPU prefetchers via BIOS
-    for exactly this reason.
-    """
-    results = []
-    for cpx in cpx_values:
-        for wss in wss_points:
-            machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
-            results.append(run_strided_read(machine, wss, cpx, cycles_over_region))
-    return results
-
-
-def default_wss_points(max_kib: int = 36, step_kib: int = 2) -> list[int]:
-    """The paper's Figure 2 x-axis: 2 KB .. 36 KB."""
-    return [k * 1024 for k in range(step_kib, max_kib + 1, step_kib) if k * 1024 >= XPLINE_SIZE]

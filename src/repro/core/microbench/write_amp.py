@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import XPLINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.system.machine import Machine
-from repro.system.presets import machine_for
 from repro.workloads.patterns import partial_write_addresses
 
 
@@ -69,21 +67,6 @@ def run_write_amplification(
     )
 
 
-def write_amplification_sweep(
-    generation: int,
-    wss_points: list[int],
-    fractions: tuple[int, ...] = (1, 2, 3, 4),
-    passes: int = 8,
-) -> list[WriteAmplificationResult]:
-    """Full Figure 3 sweep (fresh machine per point, prefetchers off)."""
-    results = []
-    for written in fractions:
-        for wss in wss_points:
-            machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
-            results.append(run_write_amplification(machine, wss, written, passes))
-    return results
-
-
 @dataclass(frozen=True)
 class WriteHitResult:
     """One Figure 4 point."""
@@ -118,12 +101,3 @@ def run_write_hit_ratio(
         hit_ratio=delta.write_buffer_hit_ratio,
         inferred_hit_ratio=max(0.0, inferred),
     )
-
-
-def write_hit_sweep(generation: int, wss_points: list[int]) -> list[WriteHitResult]:
-    """Full Figure 4 sweep (fresh machine per point, prefetchers off)."""
-    results = []
-    for wss in wss_points:
-        machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
-        results.append(run_write_hit_ratio(machine, wss))
-    return results

@@ -16,7 +16,7 @@ Table-1 phases via the optional ``phase`` context of
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.errors import DataStoreError, KeyNotFoundError

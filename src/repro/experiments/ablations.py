@@ -13,12 +13,9 @@ designs, and a regression net for the simulator's mechanisms.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.units import kib
-from repro.core.microbench.interleave import run_transition_probe
 from repro.core.microbench.write_amp import run_write_amplification
 from repro.dimm.config import OptaneDimmConfig
 from repro.experiments.common import ExperimentReport
@@ -169,7 +166,7 @@ def ablate_sfence_window() -> ExperimentReport:
 
 
 def run_all() -> list[ExperimentReport]:
-    """All ablations (used by the bench target)."""
+    """All ablations, in report order (the ``ablations`` experiment)."""
     return [
         ablate_write_buffer_eviction(),
         ablate_periodic_writeback(),

@@ -11,28 +11,11 @@ the "Table 0" a new user runs first.
 from __future__ import annotations
 
 from repro.cache.prefetch import PrefetcherConfig
-from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
+from repro.common.constants import CACHELINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.common.units import mib
 from repro.experiments.common import ExperimentReport, check_profile, interleave_workers
 from repro.system.presets import machine_for
-
-
-def _sequential_read(core, base, start, count):
-    for index in range(count):
-        core.load(base + (start + index) * CACHELINE_SIZE, 8)
-
-
-def _random_read(core, base, n_lines, count, rng):
-    for _ in range(count):
-        core.load(base + rng.choice_index(n_lines) * CACHELINE_SIZE, 8)
-        # Evict so the next visit reaches the device again.
-        core.clflushopt(base + rng.choice_index(n_lines) * CACHELINE_SIZE)
-
-
-def _nt_write(core, base, start, count, n_lines):
-    for index in range(count):
-        core.nt_store(base + ((start + index) % n_lines) * CACHELINE_SIZE, CACHELINE_SIZE)
 
 
 def measure_bandwidth(
@@ -42,12 +25,14 @@ def measure_bandwidth(
     region: str = "pm",
     wss: int = mib(64),
     ops_per_thread: int = 4_000,
+    pm_dimms: int = 1,
 ) -> float:
     """GB/s moved by ``threads`` workers doing ``kind`` accesses.
 
-    ``kind``: "seq-read", "rand-read" or "nt-write".
+    ``kind``: "seq-read", "rand-read" or "nt-write".  ``pm_dimms`` is
+    the number of interleaved PM DIMMs behind ``region``.
     """
-    machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
+    machine = machine_for(generation, pm_dimms=pm_dimms, prefetchers=PrefetcherConfig.none())
     base = machine.region_spec(region).base
     n_lines = wss // CACHELINE_SIZE
     cores = [machine.new_core(f"t{i}") for i in range(threads)]

@@ -2,8 +2,8 @@
 
 Every experiment module produces an :class:`ExperimentReport` — named
 series over a shared x-axis — that renders as the table/rows the
-corresponding paper figure plots, and that benchmarks assert shape
-properties against.
+corresponding paper figure plots, and that the paper claims
+(:mod:`repro.validate`) check shape properties against.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-#: Iteration-count profiles.  "fast" keeps the whole bench suite in
-#: minutes; "full" is what EXPERIMENTS.md records.
+#: Iteration-count profiles.  "fast" keeps a full ``repro run`` /
+#: ``repro validate`` sweep in minutes; "full" is what EXPERIMENTS.md
+#: records.
 PROFILES = ("fast", "full")
 
 
@@ -216,20 +217,15 @@ def interleave_workers(
     operation on that core (advancing ``core.now``).  Contention is
     produced by the shared machine underneath.  Returns the makespan.
     """
-    heap: list[tuple[float, int]] = []
-    streams = []
-    for index, (core, stream) in enumerate(workers):
-        streams.append((core, stream))
-        heapq.heappush(heap, (core.now, index))
+    heap = [(core.now, index) for index, (core, _) in enumerate(workers)]
+    heapq.heapify(heap)
     start = min(core.now for core, _ in workers) if workers else 0.0
-    finished = [False] * len(workers)
     while heap:
         _, index = heapq.heappop(heap)
-        core, stream = streams[index]
+        core, stream = workers[index]
         try:
             task = next(stream)
         except StopIteration:
-            finished[index] = True
             continue
         task()
         heapq.heappush(heap, (core.now, index))

@@ -11,17 +11,8 @@ shows the same shape compressed to ~2×.
 
 from __future__ import annotations
 
-from repro.core.microbench.rap import rap_curve
+from repro.core.microbench.rap import FIGURE7_PANELS, rap_curve
 from repro.experiments.common import ExperimentReport, check_profile
-from repro.persist.persistency import FenceKind, FlushKind
-
-#: Panels (a)-(d) per generation, as (region, curve specs).
-_PANEL_SPECS: tuple[tuple[str, tuple[tuple[FlushKind, FenceKind], ...]], ...] = (
-    ("pm", ((FlushKind.CLWB, FenceKind.MFENCE), (FlushKind.CLWB, FenceKind.SFENCE), (FlushKind.NT_STORE, FenceKind.MFENCE))),
-    ("dram", ((FlushKind.CLWB, FenceKind.MFENCE), (FlushKind.CLWB, FenceKind.SFENCE))),
-    ("pm_remote", ((FlushKind.CLWB, FenceKind.MFENCE), (FlushKind.CLWB, FenceKind.SFENCE), (FlushKind.NT_STORE, FenceKind.MFENCE))),
-    ("dram_remote", ((FlushKind.CLWB, FenceKind.MFENCE), (FlushKind.CLWB, FenceKind.SFENCE))),
-)
 
 _FAST_DISTANCES = (0, 1, 2, 4, 8, 16, 32, 40)
 _FULL_DISTANCES = (0, 1, 2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40)
@@ -32,7 +23,7 @@ def run_panel(generation: int, region: str, profile: str = "fast") -> Experiment
     check_profile(profile)
     distances = _FAST_DISTANCES if profile == "fast" else _FULL_DISTANCES
     passes = 20 if profile == "fast" else 40
-    specs = dict(_PANEL_SPECS)[region]
+    specs = dict(FIGURE7_PANELS)[region]
     report = ExperimentReport(
         experiment_id=f"fig7-g{generation}-{region}",
         title=f"RAP latency on {region} (G{generation}), cycles/iteration",
@@ -47,7 +38,7 @@ def run_panel(generation: int, region: str, profile: str = "fast") -> Experiment
 
 def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """All four panels of one Figure 7 row."""
-    return [run_panel(generation, region, profile) for region, _ in _PANEL_SPECS]
+    return [run_panel(generation, region, profile) for region, _ in FIGURE7_PANELS]
 
 
 if __name__ == "__main__":  # pragma: no cover

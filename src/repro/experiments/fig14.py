@@ -9,33 +9,17 @@ testbeds.
 
 from __future__ import annotations
 
-from repro.common.constants import CACHELINE_SIZE, CACHELINES_PER_XPLINE, XPLINE_SIZE
+from repro.common.constants import XPLINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.common.units import mib
+from repro.core.microbench.prefetch_probe import visit_block, visit_block_redirected
 from repro.experiments.common import (
     ExperimentReport,
     check_profile,
     interleave_workers,
 )
-from repro.system.machine import Core, Machine
+from repro.system.machine import Machine
 from repro.system.presets import machine_for
-
-
-def _block_task(core: Core, block: int, staging: int, repeats: int, redirect: bool) -> None:
-    if redirect:
-        for slot in range(CACHELINES_PER_XPLINE):
-            core.stream_load(block + slot * CACHELINE_SIZE, CACHELINE_SIZE)
-            core.store(staging + slot * CACHELINE_SIZE, CACHELINE_SIZE)
-        for _ in range(repeats):
-            for slot in range(CACHELINES_PER_XPLINE):
-                core.load(staging + slot * CACHELINE_SIZE, 8)
-    else:
-        for _ in range(repeats):
-            for slot in range(CACHELINES_PER_XPLINE):
-                core.load(block + slot * CACHELINE_SIZE, 8)
-        for slot in range(CACHELINES_PER_XPLINE):
-            core.clflushopt(block + slot * CACHELINE_SIZE)
-        core.sfence()
 
 
 def run_point(
@@ -60,7 +44,10 @@ def run_point(
             for _ in range(visits_per_thread):
                 def task():
                     block = base + rng.choice_index(n_blocks) * XPLINE_SIZE
-                    _block_task(core, block, staging, repeats, redirect)
+                    if redirect:
+                        visit_block_redirected(core, block, staging, repeats)
+                    else:
+                        visit_block(core, block, repeats)
 
                 yield task
 

@@ -12,6 +12,9 @@ bandwidth-bound workloads scale.
 from __future__ import annotations
 
 from repro.cache.prefetch import PrefetcherConfig
+from repro.common.constants import CACHELINE_SIZE
+from repro.common.rng import DeterministicRng
+from repro.common.units import mib
 from repro.experiments.bandwidth import measure_bandwidth
 from repro.experiments.common import ExperimentReport, check_profile
 from repro.system.presets import machine_for
@@ -19,10 +22,6 @@ from repro.system.presets import machine_for
 
 def _random_read_latency(generation: int, dimms: int, samples: int = 2_000) -> float:
     """Average cold random-read latency over a large region."""
-    from repro.common.constants import CACHELINE_SIZE
-    from repro.common.rng import DeterministicRng
-    from repro.common.units import mib
-
     machine = machine_for(generation, pm_dimms=dimms, prefetchers=PrefetcherConfig.none())
     core = machine.new_core()
     base = machine.region_spec("pm").base
@@ -32,32 +31,6 @@ def _random_read_latency(generation: int, dimms: int, samples: int = 2_000) -> f
     for _ in range(samples):
         core.load(base + rng.choice_index(n_lines) * CACHELINE_SIZE, 8)
     return (core.now - start) / samples
-
-
-def _write_bandwidth(generation: int, dimms: int, threads: int = 8, ops: int = 2_000) -> float:
-    """Aggregate nt-store bandwidth, GB/s."""
-    from repro.common.constants import CACHELINE_SIZE
-    from repro.common.units import mib
-    from repro.experiments.common import interleave_workers
-
-    machine = machine_for(generation, pm_dimms=dimms, prefetchers=PrefetcherConfig.none())
-    base = machine.region_spec("pm").base
-    n_lines = mib(64) // CACHELINE_SIZE
-    cores = [machine.new_core(f"t{i}") for i in range(threads)]
-    streams = []
-    for index, core in enumerate(cores):
-        start_line = index * (n_lines // threads)
-
-        def stream(core=core, start_line=start_line):
-            for op in range(ops):
-                def task(op=op):
-                    core.nt_store(base + ((start_line + op) % n_lines) * CACHELINE_SIZE, 64)
-                yield task
-
-        streams.append((core, stream()))
-    makespan = interleave_workers(streams)
-    total = threads * ops * CACHELINE_SIZE
-    return total / (makespan / (machine.config.frequency_ghz * 1e9)) / 1e9
 
 
 def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
@@ -77,7 +50,10 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     )
     report.add_series(
         "nt-store bandwidth (GB/s, 8 threads)",
-        [_write_bandwidth(generation, dimms, ops=ops) for dimms in (1, 6)],
+        [
+            measure_bandwidth(generation, "nt-write", 8, ops_per_thread=ops, pm_dimms=dimms)
+            for dimms in (1, 6)
+        ],
     )
     return report
 

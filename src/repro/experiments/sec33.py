@@ -55,6 +55,7 @@ def as_report(result: Sec33Result) -> ExperimentReport:
             "baseline media writes (B)",
             "transition media/iMC traffic",
             "transition RMW avoided",
+            "write-first transition media/iMC traffic",
         ],
     )
     sep = result.separation
@@ -68,6 +69,7 @@ def as_report(result: Sec33Result) -> ExperimentReport:
             float(sep.baseline_media_write_bytes),
             trans.media_traffic_fraction,
             float(trans.rmw_avoided),
+            result.transition_write_first.media_traffic_fraction,
         ],
     )
     report.notes.append(f"buffers_are_separate = {sep.buffers_are_separate}")

@@ -33,7 +33,7 @@ damage.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE, cacheline_index
 from repro.common.errors import AddressError, ConfigError, RecoveryError

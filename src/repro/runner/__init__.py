@@ -26,8 +26,8 @@ Typical use::
             print(report.render())
     print(metrics.summary())
 
-The CLI (``python -m repro run all --jobs 8``) and the benchmark
-harness are thin layers over exactly this API.
+The CLI (``python -m repro run all --jobs 8``) and the claim oracle
+(``python -m repro validate``) are thin layers over exactly this API.
 """
 
 from repro.runner.cache import ResultCache, code_version, default_cache_dir, request_key
@@ -41,7 +41,6 @@ __all__ = [
     "RunMetrics",
     "RunRequest",
     "RunResult",
-    "cached_call",
     "code_version",
     "default_cache_dir",
     "request_key",
@@ -49,32 +48,3 @@ __all__ = [
     "run_sweep",
 ]
 
-
-def cached_call(fn, *args, cache: ResultCache | None = None, **kwargs):
-    """Memoize an arbitrary report-producing call through the result cache.
-
-    For harness code (the benchmark suite, notebooks) that invokes
-    experiment functions directly rather than via :func:`run_sweep`.
-    The key covers ``fn``'s module-qualified name, its arguments and
-    the current code version; the value must be an
-    :class:`~repro.experiments.common.ExperimentReport` or a list of
-    them — anything else is computed and returned uncached.
-    """
-    from repro.experiments.common import ExperimentReport
-
-    cache = cache if cache is not None else ResultCache()
-    label = f"{fn.__module__}.{getattr(fn, '__qualname__', repr(fn))}"
-    overrides = {"args": repr(args), "kwargs": repr(sorted(kwargs.items()))}
-    key = request_key(f"call:{label}", 0, "direct", overrides)
-    entry = cache.load_entry(key)
-    if entry is not None:
-        reports, meta = entry
-        return reports[0] if meta.get("shape") == "report" else reports
-    result = fn(*args, **kwargs)
-    if isinstance(result, ExperimentReport):
-        cache.store(key, [result], {"call": label, "shape": "report", **overrides})
-    elif isinstance(result, list) and result and all(
-        isinstance(item, ExperimentReport) for item in result
-    ):
-        cache.store(key, result, {"call": label, "shape": "list", **overrides})
-    return result

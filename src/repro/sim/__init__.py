@@ -1,9 +1,8 @@
-"""Discrete-event simulation core: clock, contention, persists, threads."""
+"""Discrete-event simulation core: clock, contention, in-flight persists."""
 
 from repro.sim.clock import Clock, Cycles
 from repro.sim.inflight import InflightPersists
 from repro.sim.ports import ServiceGrant, ServicePorts
-from repro.sim.scheduler import GeneratorThread, ThreadContext, ThreadScheduler
 
 __all__ = [
     "Clock",
@@ -11,7 +10,4 @@ __all__ = [
     "InflightPersists",
     "ServiceGrant",
     "ServicePorts",
-    "GeneratorThread",
-    "ThreadContext",
-    "ThreadScheduler",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import weakref
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cache.hierarchy import CacheHierarchy, CacheHierarchyConfig
 from repro.cache.prefetch import PrefetchEngine, PrefetcherConfig

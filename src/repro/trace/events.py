@@ -24,7 +24,7 @@ lane).  Timestamps are simulated cycles, the repo-wide currency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.sim.clock import Cycles

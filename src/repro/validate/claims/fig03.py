@@ -24,7 +24,7 @@ from repro.validate.predicates import (
     plateau,
     within,
 )
-from repro.validate.spec import Claim, ReportSet, on_pair, on_reports, on_series
+from repro.validate.spec import Claim, ReportSet, on_reports, on_series
 
 _CITE = "Fig. 3, S3.2"
 

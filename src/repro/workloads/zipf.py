@@ -10,8 +10,6 @@ keyspace via FNV hashing, exactly like YCSB does.
 
 from __future__ import annotations
 
-import math
-
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 

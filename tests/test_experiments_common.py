@@ -102,6 +102,24 @@ class TestInterleaveWorkers:
     def test_empty_workers(self):
         assert interleave_workers([]) == 0.0
 
+    def test_causal_order(self):
+        # Tasks must be dispatched in nondecreasing *start* time order:
+        # a worker whose local clock is behind always runs first.
+        machine = g1_machine(prefetchers=PrefetcherConfig.none())
+        cores = [machine.new_core(f"w{i}") for i in range(2)]
+        starts = []
+
+        def stream(core, steps, stride):
+            for _ in range(steps):
+                def task():
+                    starts.append(core.now)
+                    core.tick(stride)
+                yield task
+
+        interleave_workers([(cores[0], stream(cores[0], 5, 1)), (cores[1], stream(cores[1], 2, 100))])
+        assert len(starts) == 7
+        assert starts == sorted(starts)
+
 
 class TestPresets:
     def test_machine_for_dispatch(self):

@@ -103,11 +103,6 @@ class TestSec33Separation:
         assert result.interleaved_read_amplification == pytest.approx(1.0, rel=0.05)
         assert result.interleaved_media_write_bytes == 0
 
-    def test_transition_traffic_far_below_imc(self):
-        for generation in (1, 2):
-            result = run_transition_probe(generation)
-            assert result.media_traffic_fraction < 0.5, generation
-
     def test_read_first_transition_avoids_rmw(self):
         result = run_transition_probe(1, write_first=False)
         assert result.rmw_avoided > 0

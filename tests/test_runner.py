@@ -10,7 +10,6 @@ from repro.runner import (
     ExperimentSpec,
     ResultCache,
     RunRequest,
-    cached_call,
     code_version,
     request_key,
     resolve_names,
@@ -249,37 +248,6 @@ class TestRegistry:
         merged = spec.merge(1, "fast", [task(1, "fast") for task in tasks])
         direct = spec.run(1, "fast")
         assert [r.to_dict() for r in merged] == [r.to_dict() for r in direct]
-
-
-class TestCachedCall:
-    def test_single_report_shape_preserved(self, synthetic):
-        def produce():
-            CALLS["count"] += 1
-            return make_report("direct")
-
-        first = cached_call(produce)
-        second = cached_call(produce)
-        assert isinstance(second, ExperimentReport)
-        assert first == second
-        assert CALLS["count"] == 1
-
-    def test_list_shape_preserved(self):
-        def produce():
-            return [make_report("a"), make_report("b")]
-
-        assert cached_call(produce) == cached_call(produce)
-        assert isinstance(cached_call(produce), list)
-
-    def test_non_report_results_bypass_cache(self):
-        calls = []
-
-        def produce():
-            calls.append(1)
-            return {"not": "a report"}
-
-        assert cached_call(produce) == {"not": "a report"}
-        cached_call(produce)
-        assert len(calls) == 2
 
 
 import multiprocessing

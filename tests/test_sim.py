@@ -1,4 +1,4 @@
-"""Tests for the discrete-event core: clock, ports, inflight, scheduler."""
+"""Tests for the discrete-event core: clock, ports, inflight persists."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.sim.clock import Clock
 from repro.sim.inflight import InflightPersists
 from repro.sim.ports import ServicePorts
-from repro.sim.scheduler import GeneratorThread, ThreadScheduler
 
 
 class TestClock:
@@ -142,85 +141,3 @@ class TestInflightPersists:
         inflight.add(1, 100)
         inflight.clear()
         assert inflight.completion_for(1, 0) is None
-
-
-class _CounterThread:
-    """Minimal ThreadContext: counts down steps, advancing time."""
-
-    def __init__(self, steps, stride):
-        self.now = 0.0
-        self._left = steps
-        self._stride = stride
-        self.executed = []
-
-    def step(self):
-        if self._left == 0:
-            return False
-        self._left -= 1
-        self.now += self._stride
-        self.executed.append(self.now)
-        return True
-
-
-class TestScheduler:
-    def test_runs_all_threads_to_completion(self):
-        scheduler = ThreadScheduler()
-        a = _CounterThread(3, 10)
-        b = _CounterThread(2, 100)
-        scheduler.add(a)
-        scheduler.add(b)
-        scheduler.run()
-        assert len(a.executed) == 3
-        assert len(b.executed) == 2
-
-    def test_makespan(self):
-        scheduler = ThreadScheduler()
-        a = _CounterThread(3, 10)
-        scheduler.add(a)
-        scheduler.run()
-        assert scheduler.makespan == 30
-
-    def test_causal_order(self):
-        # Steps must be dispatched in nondecreasing *start* time order:
-        # a thread whose local clock is behind always runs first.
-        scheduler = ThreadScheduler()
-        starts = []
-
-        class Recorder(_CounterThread):
-            def step(self):
-                starts.append(self.now)
-                return super().step()
-
-        scheduler.add(Recorder(5, 1))
-        scheduler.add(Recorder(2, 100))
-        scheduler.run()
-        assert starts == sorted(starts)
-
-    def test_max_steps_guard(self):
-        scheduler = ThreadScheduler()
-
-        class Forever:
-            now = 0.0
-
-            def step(self):
-                self.now += 1
-                return True
-
-        scheduler.add(Forever())
-        with pytest.raises(SimulationError):
-            scheduler.run(max_steps=10)
-
-    def test_generator_thread(self):
-        clock = Clock()
-
-        def body():
-            for _ in range(4):
-                clock.advance(5)
-                yield
-
-        thread = GeneratorThread("worker", body(), lambda: clock.now)
-        scheduler = ThreadScheduler()
-        scheduler.add(thread)
-        scheduler.run()
-        assert thread.steps == 4
-        assert clock.now == 20
