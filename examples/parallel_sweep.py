@@ -30,7 +30,7 @@ def main() -> None:
         RunRequest.make("fig4"),                    # generation-independent
         RunRequest.make("sec33", generation=1),
         RunRequest.make("sec33", generation=2),
-        RunRequest.make("fig2", generation=1),      # sharded: one worker per curve
+        RunRequest.make("fig2", generation=1),
     ]
     cache = ResultCache()
 

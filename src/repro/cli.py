@@ -46,6 +46,20 @@ from repro.runner.registry import resolve_names
 EXPERIMENTS = {name: (spec.title, spec.run) for name, spec in REGISTRY.items()}
 
 
+def _bounded(kind: type, minimum: float, strict: bool = False):
+    """An argparse ``type``: a ``kind`` value >= ``minimum`` (> if ``strict``)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > minimum if strict else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {minimum}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in parse errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the `repro` argument parser (list / run subcommands).
 
@@ -133,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument("--profile", "-p", default="fast", choices=("fast", "full"))
     validate.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
+        "--jobs", "-j", type=_bounded(int, 1), default=1, metavar="N",
         help="worker processes for the underlying sweep (default 1)",
     )
     validate.add_argument(
@@ -180,15 +194,16 @@ def _add_common_run_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument("--generation", "-g", type=int, default=1, choices=(1, 2))
     command.add_argument("--profile", "-p", default="fast", choices=("fast", "full"))
     command.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
+        "--jobs", "-j", type=_bounded(int, 1), default=1, metavar="N",
         help="worker processes for the sweep (default 1 = serial)",
     )
     command.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+        "--shard-timeout", type=_bounded(float, 0, strict=True), default=None,
+        metavar="SECONDS",
         help="presume a pooled worker hung after this long and retry elsewhere",
     )
     command.add_argument(
-        "--retries", type=int, default=2, metavar="N",
+        "--retries", type=_bounded(int, 0), default=2, metavar="N",
         help="re-executions granted to a failing work unit before quarantine (default 2)",
     )
     cache_group = command.add_mutually_exclusive_group()
@@ -215,9 +230,8 @@ def main(argv: list[str] | None = None) -> int:
 
     ``run`` builds one :class:`~repro.runner.RunRequest` per selected
     experiment and hands the whole batch to
-    :func:`~repro.runner.run_sweep`, so ``--jobs N`` parallelism spans
-    experiments (and, for sharded experiments like fig2/fig3,
-    individual curves).  Reports print in request order as they
+    :func:`~repro.runner.run_sweep`, so ``--jobs N`` runs up to N
+    experiments at once.  Reports print in request order as they
     resolve; cached results are marked and cost no simulation time.
     """
     args = build_parser().parse_args(argv)

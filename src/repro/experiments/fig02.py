@@ -18,51 +18,27 @@ from repro.system.presets import machine_for
 SERIES_CPX = (4, 3, 2, 1)
 
 
-def _grid(profile: str) -> list[int]:
-    return buffer_wss_grid(step_kib=2 if profile == "fast" else 1, max_kib=36)
-
-
-def run_series(generation: int = 1, profile: str = "fast", cpx: int = 4) -> tuple[str, list[float]]:
-    """One curve of Figure 2: RA over the WSS grid for a fixed CpX.
-
-    This is the per-sweep-point work unit the parallel runner
-    (:mod:`repro.runner`) fans out; it is a pure function of its
-    arguments, so shards can run in any process and be merged by
-    :func:`merge_series` in declaration order.
-    """
+def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+    """Reproduce Figure 2 for one Optane generation: RA over WSS, one curve per CpX."""
     check_profile(profile)
     cycles = 4 if profile == "fast" else 8
-    values = []
-    for wss in _grid(profile):
-        machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
-        result = run_strided_read(machine, wss, cpx, cycles_over_region=cycles)
-        values.append(result.read_amplification)
-    return f"read {cpx} cacheline{'s' if cpx > 1 else ''}", values
-
-
-def merge_series(generation: int, profile: str, series: list[tuple[str, list[float]]]) -> ExperimentReport:
-    """Assemble Figure 2 from :func:`run_series` shards (one per CpX)."""
     report = ExperimentReport(
         experiment_id=f"fig2-g{generation}",
         title=f"Read amplification, strided reads (G{generation})",
         x_label="WSS",
-        x_values=_grid(profile),
+        x_values=buffer_wss_grid(step_kib=2 if profile == "fast" else 1, max_kib=36),
         x_is_size=True,
     )
-    for name, values in series:
-        report.add_series(name, values)
+    for cpx in SERIES_CPX:
+        values = []
+        for wss in report.x_values:
+            machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
+            result = run_strided_read(machine, wss, cpx, cycles_over_region=cycles)
+            values.append(result.read_amplification)
+        report.add_series(f"read {cpx} cacheline{'s' if cpx > 1 else ''}", values)
     buffer_kib = machine_for(generation).config.optane.read_buffer_bytes // kib(1)
     report.notes.append(f"read buffer capacity (config): {buffer_kib} KB")
     return report
-
-
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
-    """Reproduce Figure 2 for one Optane generation."""
-    check_profile(profile)
-    return merge_series(
-        generation, profile,
-        [run_series(generation, profile, cpx) for cpx in SERIES_CPX],
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover

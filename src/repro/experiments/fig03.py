@@ -19,65 +19,30 @@ from repro.system.presets import machine_for
 SERIES_WRITTEN = (4, 3, 2, 1)
 
 
-def _grid(profile: str) -> list[int]:
-    return buffer_wss_grid(step_kib=2 if profile == "fast" else 1, max_kib=32)
-
-
-def run_series(
-    generation: int = 1,
-    profile: str = "fast",
-    written: int = 4,
-    random_across_xplines: bool = False,
-) -> tuple[str, list[float]]:
-    """One curve of Figure 3: WA over the WSS grid for a write fraction.
-
-    Pure function of its arguments — the parallel runner
-    (:mod:`repro.runner`) executes these shards in worker processes
-    and recombines them with :func:`merge_series`.
-    """
+def run(generation: int = 1, profile: str = "fast", random_across_xplines: bool = False) -> ExperimentReport:
+    """Reproduce Figure 3 for one generation: WA over WSS, one curve per write fraction."""
     check_profile(profile)
     passes = 6 if profile == "fast" else 10
-    values = []
-    for wss in _grid(profile):
-        machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
-        result = run_write_amplification(
-            machine, wss, written, passes=passes, random_across_xplines=random_across_xplines
-        )
-        values.append(result.write_amplification)
-    return f"{written * 25}% write", values
-
-
-def merge_series(
-    generation: int,
-    profile: str,
-    series: list[tuple[str, list[float]]],
-    random_across_xplines: bool = False,
-) -> ExperimentReport:
-    """Assemble Figure 3 from :func:`run_series` shards."""
     report = ExperimentReport(
         experiment_id=f"fig3-g{generation}",
         title=f"Write amplification, nt-store partial writes (G{generation})",
         x_label="WSS",
-        x_values=_grid(profile),
+        x_values=buffer_wss_grid(step_kib=2 if profile == "fast" else 1, max_kib=32),
         x_is_size=True,
     )
-    for name, values in series:
-        report.add_series(name, values)
+    for written in SERIES_WRITTEN:
+        values = []
+        for wss in report.x_values:
+            machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
+            result = run_write_amplification(
+                machine, wss, written, passes=passes, random_across_xplines=random_across_xplines
+            )
+            values.append(result.write_amplification)
+        report.add_series(f"{written * 25}% write", values)
     report.notes.append(
         "access order across XPLines: " + ("random" if random_across_xplines else "sequential")
     )
     return report
-
-
-def run(generation: int = 1, profile: str = "fast", random_across_xplines: bool = False) -> ExperimentReport:
-    """Reproduce Figure 3 for one generation."""
-    check_profile(profile)
-    return merge_series(
-        generation, profile,
-        [run_series(generation, profile, written, random_across_xplines)
-         for written in SERIES_WRITTEN],
-        random_across_xplines,
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,14 +5,15 @@ repository.  Three pieces:
 
 * :mod:`repro.runner.registry` — every paper figure/table as an
   :class:`ExperimentSpec` (the single registration site, picklable
-  for worker processes, with optional per-curve sharding hooks);
+  for worker processes);
 * :mod:`repro.runner.cache` — a content-addressed on-disk store of
   ``ExperimentReport`` JSON, keyed by SHA-256 of ``(experiment,
   generation, profile, overrides, code version)``;
 * :mod:`repro.runner.engine` — :func:`run_sweep`, the process-pool
-  fan-out with cache consultation, deterministic merge order, metrics
-  (wall time, worker utilization, hit/miss counters) and graceful
-  serial fallback when no pool can be created.
+  fan-out (one work unit per experiment) with cache consultation,
+  results in request order, metrics (wall time, worker utilization,
+  hit/miss counters) and graceful serial fallback when no pool can be
+  created.
 
 Typical use::
 

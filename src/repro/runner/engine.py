@@ -5,26 +5,26 @@
 
 1. consults the on-disk :class:`~repro.runner.cache.ResultCache`
    (unless disabled) and serves hits without simulating anything;
-2. fans the misses out over a ``ProcessPoolExecutor`` — whole
-   experiments, or individual sweep shards when the registry spec
-   exposes ``subtasks``/``merge`` hooks (Figures 2 and 3 ship one
-   shard per plotted curve);
-3. merges shard results *in declaration order*, so scheduling is
-   deterministic: the reports are byte-identical whatever the
-   completion order — ``--jobs 4`` output equals ``--jobs 1`` output;
+2. runs each miss as one work unit — a whole experiment — over a
+   ``ProcessPoolExecutor`` (``jobs > 1``) or in-process (``jobs=1``);
+3. returns the results in request order.  Every experiment is a pure
+   function of its request, so scheduling is deterministic: the
+   reports are byte-identical whatever the completion order —
+   ``--jobs 4`` output equals ``--jobs 1`` output;
 4. falls back to in-process serial execution whenever a pool cannot
    be created or dies mid-flight (sandboxes without ``sem_open``,
    ``fork`` restrictions, OOM-killed workers) — the sweep always
    completes.
 
-The engine degrades rather than aborts.  Each work unit (a whole
-experiment or one shard) gets a per-unit timeout (``shard_timeout``)
-and a bounded retry budget with exponential backoff (``max_retries``,
-``backoff``).  A hung or dead worker poisons the current pool: its
-processes are terminated, the pool is abandoned without waiting, and a
-fresh pool re-runs whatever had not finished.  A unit that keeps
-failing is *quarantined* — the sweep completes with partial results,
-the failing request's :class:`RunResult` carries ``error``, and
+The engine degrades rather than aborts.  Each unit gets a per-unit
+timeout (``shard_timeout``, pooled only) and a bounded retry budget
+with exponential backoff (``max_retries``, ``backoff``), counted by
+one routine whether the unit runs pooled or in-process.  A hung or
+dead worker poisons the current pool: its processes are terminated,
+the pool is abandoned without waiting, and a fresh pool re-runs
+whatever had not finished.  A unit that keeps failing is
+*quarantined* — the sweep completes with partial results, the failing
+request's :class:`RunResult` carries ``error``, and
 :class:`RunMetrics.failed_shards` records every quarantined unit so a
 degraded sweep is explicit, machine-readable, and never silently
 cached.
@@ -36,6 +36,7 @@ counters and worker utilization (busy time / (wall x jobs)).
 
 from __future__ import annotations
 
+import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -46,7 +47,6 @@ from typing import Callable
 from repro.experiments.common import ExperimentReport, check_profile
 from repro.runner.cache import ResultCache, request_key
 from repro.runner.registry import REGISTRY, ExperimentSpec
-from repro.stats.latency import LatencyRecorder
 
 #: Exceptions that mean "no process pool here" rather than "the
 #: experiment is broken": missing /dev/shm semaphores, fork limits,
@@ -125,18 +125,11 @@ class RunMetrics:
     #: Re-executions of individual work units after a failure/timeout.
     retries: int = 0
     #: Units that exhausted their retry budget, one dict each:
-    #: {"experiment", "shard" (int | None), "attempts", "reason"}.
+    #: {"experiment", "attempts", "reason"}.
     failed_shards: list = field(default_factory=list)
-    #: Wall-time distribution over executed work units (whole
-    #: experiments, or shards merged via LatencyRecorder.merge), in
-    #: seconds.  Cache hits cost no execution and are not recorded.
-    unit_seconds: LatencyRecorder = field(
-        default_factory=LatencyRecorder, compare=False, repr=False
-    )
-    #: Telemetry time-series sampled during the sweep (the ``to_obj()``
-    #: form of :class:`repro.trace.sampler.TimeSeries`); only set when
-    #: an ambient trace session was active and sampling.
-    timeseries: dict | None = None
+    #: Wall seconds of each executed work unit (one experiment each).
+    #: Cache hits cost no execution and are not recorded.
+    unit_seconds: list[float] = field(default_factory=list, compare=False, repr=False)
 
     def utilization(self) -> float:
         """Worker busy fraction: busy time / (wall time x jobs)."""
@@ -160,11 +153,9 @@ class RunMetrics:
                 f"DEGRADED: {len(self.failed_shards)} quarantined "
                 f"shard{'s' if len(self.failed_shards) != 1 else ''}"
             )
-        if self.unit_seconds.count >= 2:
-            parts.append(
-                f"unit p50/p95: {self.unit_seconds.p50:.1f}s"
-                f"/{self.unit_seconds.p95:.1f}s"
-            )
+        if len(self.unit_seconds) >= 2:
+            cuts = statistics.quantiles(self.unit_seconds, n=100, method="inclusive")
+            parts.append(f"unit p50/p95: {cuts[49]:.1f}s/{cuts[94]:.1f}s")
         if self.pool_fallback:
             parts.append("pool unavailable -> ran serially")
         return ", ".join(parts)
@@ -195,37 +186,15 @@ def _execute(request: RunRequest) -> tuple[list[dict], float]:
     return [report.to_dict() for report in reports], wall
 
 
-def _execute_subtask(experiment: str, index: int, generation: int, profile: str):
-    """Run shard ``index`` of one experiment (worker-process entry point).
-
-    Shards are re-derived from the registry inside the worker, so only
-    ``(experiment name, index)`` crosses the process boundary.
-    """
-    spec = REGISTRY[experiment]
-    tasks = spec.subtasks(generation, profile)
-    started = time.perf_counter()
-    result = tasks[index](generation, profile)
-    return result, time.perf_counter() - started
-
-
-def _finish(request: RunRequest, spec: ExperimentSpec, shard_results: list,
-            busy: float) -> tuple[list[ExperimentReport], float]:
-    """Merge shard results back into full reports."""
-    reports = spec.merge(request.generation, request.profile, shard_results)
-    return reports, busy
-
-
 @dataclass
 class _Unit:
-    """One schedulable work unit: a whole experiment or one shard."""
+    """One schedulable work unit: a whole experiment."""
 
     request: RunRequest
-    #: Shard index, or None for an unsharded (whole-experiment) unit.
-    shard: int | None
     attempts: int = 0
     done: bool = False
-    #: The worker's return value once done.
-    payload: object = None
+    #: :func:`_execute`'s return value once done.
+    payload: tuple[list[dict], float] | None = None
     #: Set when the unit is quarantined (retry budget exhausted).
     error: str | None = None
 
@@ -238,20 +207,9 @@ class _Unit:
         """The RunMetrics.failed_shards record for this unit."""
         return {
             "experiment": self.request.experiment,
-            "shard": self.shard,
             "attempts": self.attempts,
             "reason": self.error,
         }
-
-
-def _submit(pool: ProcessPoolExecutor, unit: _Unit):
-    """Submit one unit to the pool."""
-    if unit.shard is None:
-        return pool.submit(_execute, unit.request)
-    return pool.submit(
-        _execute_subtask, unit.request.experiment, unit.shard,
-        unit.request.generation, unit.request.profile,
-    )
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -291,32 +249,18 @@ def _fail(unit: _Unit, reason: str, metrics: RunMetrics,
         time.sleep(backoff * (2 ** (unit.attempts - 1)))
 
 
-def _run_pooled(requests: list[RunRequest], jobs: int, outcomes: dict,
-                failures: dict, metrics: RunMetrics,
+def _run_pooled(units: list[_Unit], jobs: int, metrics: RunMetrics,
                 shard_timeout: float | None, max_retries: int,
                 backoff: float) -> None:
-    """Fan ``requests`` out over process pools, filling ``outcomes``.
+    """Run the active ``units`` over process pools until none is left.
 
-    Experiments whose spec exposes sharding hooks (and that carry no
-    overrides, which the shard signature cannot forward) are split one
-    unit per shard; everything else is one unit per experiment.  Units
-    run in waves: each wave owns one pool; a timeout or worker death
-    poisons the wave (the pool is abandoned and survivors re-run in the
-    next wave), while an exception from the experiment itself costs
-    only that unit an attempt.  Quarantined units land in ``failures``
-    keyed by request.  Raises one of ``_POOL_ERRORS`` only when no
-    pool can be created or pools die without making any progress — the
-    caller then re-runs whatever is missing in-process.
+    Units run in waves: each wave owns one pool; a timeout or worker
+    death poisons the wave (the pool is abandoned and survivors re-run
+    in the next wave), while an exception from the experiment itself
+    costs only that unit an attempt.  Raises one of ``_POOL_ERRORS``
+    only when no pool can be created or pools die without making any
+    progress — the caller then runs the still-active units in-process.
     """
-    units: list[_Unit] = []
-    for request in requests:
-        spec = _spec_for(request)
-        if spec.subtasks is not None and spec.merge is not None and not request.overrides:
-            count = len(spec.subtasks(request.generation, request.profile))
-            units.extend(_Unit(request, index) for index in range(count))
-        else:
-            units.append(_Unit(request, None))
-
     while any(unit.active for unit in units):
         wave = [unit for unit in units if unit.active]
         progressed = False
@@ -325,10 +269,10 @@ def _run_pooled(requests: list[RunRequest], jobs: int, outcomes: dict,
         try:
             submitted: list[tuple[_Unit, object]] = []
             try:
-                submitted = [(unit, _submit(pool, unit)) for unit in wave]
+                submitted = [(unit, pool.submit(_execute, unit.request)) for unit in wave]
             except BrokenProcessPool:
                 poisoned = True
-            for index, (unit, future) in enumerate(submitted):
+            for unit, future in submitted:
                 if poisoned:
                     # The pool is gone; salvage anything that finished.
                     _harvest(unit, future)
@@ -363,32 +307,6 @@ def _run_pooled(requests: list[RunRequest], jobs: int, outcomes: dict,
             # Pools die before accepting work: no way forward here.
             raise BrokenProcessPool("process pool kept dying without progress")
 
-    for request in requests:
-        request_units = [unit for unit in units if unit.request == request]
-        failed = [unit for unit in request_units if unit.error is not None]
-        if failed:
-            failures[request] = "; ".join(
-                (f"shard {unit.shard}: " if unit.shard is not None else "")
-                + f"{unit.error} after {unit.attempts} attempt"
-                + ("s" if unit.attempts != 1 else "")
-                for unit in failed
-            )
-            continue
-        if request_units[0].shard is None:
-            dicts, wall = request_units[0].payload
-            metrics.unit_seconds.record(wall)
-            outcomes[request] = ([ExperimentReport.from_dict(d) for d in dicts], wall)
-        else:
-            results, busy = [], 0.0
-            shard_seconds = LatencyRecorder()
-            for unit in request_units:  # declaration order == merge order
-                result, wall = unit.payload
-                results.append(result)
-                busy += wall
-                shard_seconds.record(wall)
-            metrics.unit_seconds.merge(shard_seconds)
-            outcomes[request] = _finish(request, _spec_for(request), results, busy)
-
 
 def run_sweep(
     requests: list[RunRequest],
@@ -422,9 +340,12 @@ def run_sweep(
     ``KeyError`` immediately — a typo is a usage error, not degraded
     execution.
 
-    Determinism: every experiment is a pure function of its request,
-    and shard merges happen in declaration order, so the returned
-    reports are identical for any ``jobs`` value.
+    Determinism: every experiment is a pure function of its request
+    and runs as one unit, so the returned reports are identical for
+    any ``jobs`` value.  Under an ambient :mod:`repro.trace` session,
+    in-process runs are traced like any other code: the session holds
+    the time series (``sess.timeseries()``) and the reports stay
+    byte-identical to untraced ones.
     """
     for request in requests:
         _spec_for(request)  # surface unknown names before any work runs
@@ -436,7 +357,7 @@ def run_sweep(
             progress(result)
 
     results: dict[RunRequest, RunResult] = {}
-    pending: list[RunRequest] = []
+    units: list[_Unit] = []
     for request in requests:
         key = request.key()
         if cache is not None and force:
@@ -448,101 +369,37 @@ def run_sweep(
             emit(results[request])
         else:
             metrics.cache_misses += 1
-            pending.append(request)
+            units.append(_Unit(request))
 
-    def finalize(request: RunRequest, reports: list[ExperimentReport], wall: float) -> None:
-        key = request.key()
-        if cache is not None:
-            cache.store(key, reports, request.describe(), wall)
-        metrics.busy_time += wall
-        results[request] = RunResult(request, reports, wall, False, key)
+    def finish(unit: _Unit) -> None:
+        request, key = unit.request, unit.request.key()
+        if unit.error is not None:
+            error = (f"{unit.error} after {unit.attempts} attempt"
+                     + ("s" if unit.attempts != 1 else ""))
+            results[request] = RunResult(request, [], 0.0, False, key, error=error)
+        else:
+            dicts, wall = unit.payload
+            reports = [ExperimentReport.from_dict(d) for d in dicts]
+            if cache is not None:
+                cache.store(key, reports, request.describe(), wall)
+            metrics.unit_seconds.append(wall)
+            metrics.busy_time += wall
+            results[request] = RunResult(request, reports, wall, False, key)
         emit(results[request])
 
-    def finalize_failed(request: RunRequest, reason: str) -> None:
-        results[request] = RunResult(request, [], 0.0, False, request.key(), error=reason)
-        emit(results[request])
-
-    outcomes: dict[RunRequest, tuple[list[ExperimentReport], float]] = {}
-    failures: dict[RunRequest, str] = {}
-    if pending and metrics.jobs > 1:
+    if units and metrics.jobs > 1:
         try:
-            _run_pooled(pending, metrics.jobs, outcomes, failures, metrics,
-                        shard_timeout, max_retries, backoff)
+            _run_pooled(units, metrics.jobs, metrics, shard_timeout, max_retries, backoff)
         except _POOL_ERRORS:
             metrics.pool_fallback = True
-        for request in pending:
-            if request in outcomes:
-                reports, wall = outcomes[request]
-                finalize(request, reports, wall)
-            elif request in failures:
-                finalize_failed(request, failures[request])
-    for request in pending:
-        if request in outcomes or request in failures:
-            continue  # jobs=1, or the pool died under us: run in-process
-        attempts = 0
-        while True:
+    for unit in units:
+        while unit.active:  # jobs=1, or the pool died under us: run in-process
             try:
-                first_sampler = _sampler_mark()
-                dicts, wall = _execute(request)
-                metrics.unit_seconds.record(wall)
-                reports = [ExperimentReport.from_dict(d) for d in dicts]
-                finalize(request, reports, wall)
-                # Post-finalize, so the cache keeps the untraced form.
-                _attach_timeseries(reports, first_sampler)
-                break
+                unit.payload = _execute(unit.request)
+                unit.done = True
             except Exception as error:
-                attempts += 1
-                if attempts > max_retries:
-                    reason = f"{type(error).__name__}: {error}"
-                    metrics.failed_shards.append({
-                        "experiment": request.experiment, "shard": None,
-                        "attempts": attempts, "reason": reason,
-                    })
-                    finalize_failed(request, f"{reason} after {attempts} attempt"
-                                    + ("s" if attempts != 1 else ""))
-                    break
-                metrics.retries += 1
-                time.sleep(backoff * (2 ** (attempts - 1)))
+                _fail(unit, f"{type(error).__name__}: {error}", metrics, max_retries, backoff)
+        finish(unit)
 
-    session = _active_trace_session()
-    if session is not None and session.samplers:
-        metrics.timeseries = session.timeseries().to_obj()
     metrics.wall_time = time.perf_counter() - started
     return [results[request] for request in requests], metrics
-
-
-def _active_trace_session():
-    """The ambient trace session, without importing repro.trace eagerly."""
-    import sys
-
-    module = sys.modules.get("repro.trace.session")
-    return module.active_session() if module is not None else None
-
-
-def _sampler_mark() -> int:
-    """How many samplers the ambient session holds right now.
-
-    Taken before an in-process execution; samplers appended past the
-    mark belong to machines that execution built.
-    """
-    session = _active_trace_session()
-    return len(session.samplers) if session is not None else 0
-
-
-def _attach_timeseries(reports: list[ExperimentReport], first_sampler: int) -> None:
-    """Attach one request's sampled rows to its first report.
-
-    Only does anything when an ambient trace session sampled during the
-    request (serial in-process execution — pool workers build their
-    machines in other processes, far from this session).
-    """
-    session = _active_trace_session()
-    if session is None or not reports:
-        return
-    from repro.trace.sampler import TimeSeries
-
-    merged = TimeSeries()
-    for sampler in session.samplers[first_sampler:]:
-        merged.extend(sampler.series)
-    if merged.rows:
-        reports[0].timeseries = merged.to_obj()

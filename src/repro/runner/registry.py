@@ -3,10 +3,9 @@
 This module is the single registration site for experiments.  Each
 entry is an :class:`ExperimentSpec` — a picklable, module-level
 ``run`` callable with the uniform signature ``(generation, profile) ->
-list[ExperimentReport]`` plus optional *sharding* hooks that expose
-per-sweep-point work units so the process-pool engine
-(:mod:`repro.runner.engine`) can fan a single experiment out across
-workers.
+list[ExperimentReport]``.  The process-pool engine
+(:mod:`repro.runner.engine`) schedules each experiment as one work
+unit.
 
 Everything here must stay importable by worker processes: specs hold
 references to module-level functions only (``functools.partial`` over
@@ -27,22 +26,11 @@ from repro.faults.experiment import run_crashtest
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment.
-
-    ``run(generation, profile)`` returns the experiment's reports.
-    When ``subtasks``/``merge`` are set, the engine may instead call
-    each subtask (same ``(generation, profile)`` signature) in a
-    separate worker and recombine the partial results with
-    ``merge(generation, profile, results)`` — results are passed in
-    declaration order, so merging is deterministic regardless of
-    completion order.
-    """
+    """One runnable experiment: ``run(generation, profile)`` returns its reports."""
 
     name: str
     title: str
     run: Callable[[int, str], list[ExperimentReport]]
-    subtasks: Callable[[int, str], list[Callable]] | None = None
-    merge: Callable[[int, str, list], list[ExperimentReport]] | None = None
 
 
 def _as_reports(result) -> list[ExperimentReport]:
@@ -57,29 +45,9 @@ def _run_fig02(generation: int, profile: str) -> list[ExperimentReport]:
     return [fig02.run(generation, profile)]
 
 
-def _fig02_subtasks(generation: int, profile: str) -> list[Callable]:
-    """One shard per CpX curve of Figure 2."""
-    return [partial(fig02.run_series, cpx=cpx) for cpx in fig02.SERIES_CPX]
-
-
-def _fig02_merge(generation: int, profile: str, results: list) -> list[ExperimentReport]:
-    """Recombine Figure 2 shards into the full report."""
-    return [fig02.merge_series(generation, profile, results)]
-
-
 def _run_fig03(generation: int, profile: str) -> list[ExperimentReport]:
     """Figure 3 (write amplification) as a report list."""
     return [fig03.run(generation, profile)]
-
-
-def _fig03_subtasks(generation: int, profile: str) -> list[Callable]:
-    """One shard per write-fraction curve of Figure 3."""
-    return [partial(fig03.run_series, written=written) for written in fig03.SERIES_WRITTEN]
-
-
-def _fig03_merge(generation: int, profile: str, results: list) -> list[ExperimentReport]:
-    """Recombine Figure 3 shards into the full report."""
-    return [fig03.merge_series(generation, profile, results)]
 
 
 def _run_fig04(generation: int, profile: str) -> list[ExperimentReport]:
@@ -156,10 +124,8 @@ def _run_interleaving(generation: int, profile: str) -> list[ExperimentReport]:
 REGISTRY: dict[str, ExperimentSpec] = {
     spec.name: spec
     for spec in (
-        ExperimentSpec("fig2", "Figure 2 — read amplification (read buffer)",
-                       _run_fig02, _fig02_subtasks, _fig02_merge),
-        ExperimentSpec("fig3", "Figure 3 — write amplification (write buffer)",
-                       _run_fig03, _fig03_subtasks, _fig03_merge),
+        ExperimentSpec("fig2", "Figure 2 — read amplification (read buffer)", _run_fig02),
+        ExperimentSpec("fig3", "Figure 3 — write amplification (write buffer)", _run_fig03),
         ExperimentSpec("fig4", "Figure 4 — write buffer hit ratio", _run_fig04),
         ExperimentSpec("sec33", "Section 3.3 — buffer separation & transition", _run_sec33),
         ExperimentSpec("fig6", "Figure 6 — prefetching into on-DIMM buffers", _run_fig06),

@@ -1,13 +1,11 @@
-"""Measurement machinery: ipmwatch-equivalent counters and latency stats."""
+"""Measurement machinery: ipmwatch-equivalent counters and time breakdowns."""
 
 from repro.stats.counters import TelemetryCounters, TelemetryDelta, TelemetryRegistry
-from repro.stats.latency import LatencyRecorder, LatencySummary, TimeBreakdown
+from repro.stats.latency import TimeBreakdown
 
 __all__ = [
     "TelemetryCounters",
     "TelemetryDelta",
     "TelemetryRegistry",
-    "LatencyRecorder",
-    "LatencySummary",
     "TimeBreakdown",
 ]

@@ -1,171 +1,6 @@
-"""Latency accounting: per-operation samples, summaries and histograms.
-
-The paper reports latency as *CPU cycles per element / per operation*
-(Figures 7, 8, 10, 12, 14).  :class:`LatencyRecorder` collects samples
-cheaply (sum + count + bounded reservoir) and produces the summary
-statistics the experiment harness prints.
-"""
+"""Time accounting: attribution of cycles across named phases (Table 1)."""
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from typing import Iterable
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    """Summary statistics over a set of latency samples (in cycles)."""
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
-    stddev: float
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"n={self.count} mean={self.mean:.1f} p50={self.p50:.1f} "
-            f"p95={self.p95:.1f} p99={self.p99:.1f} max={self.maximum:.1f}"
-        )
-
-
-def _percentile(sorted_samples: list[float], fraction: float) -> float:
-    """Linear-interpolation percentile over pre-sorted samples."""
-    if not sorted_samples:
-        return 0.0
-    if len(sorted_samples) == 1:
-        return sorted_samples[0]
-    rank = fraction * (len(sorted_samples) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
-        return sorted_samples[lo]
-    weight = rank - lo
-    return sorted_samples[lo] * (1.0 - weight) + sorted_samples[hi] * weight
-
-
-class LatencyRecorder:
-    """Accumulates latency samples with O(1) record cost.
-
-    All samples are retained up to ``max_samples``; beyond that a
-    simple stride-based thinning keeps memory bounded while the running
-    sum/min/max stay exact.  For the experiment sizes in this repo the
-    reservoir virtually never thins.
-    """
-
-    def __init__(self, max_samples: int = 1_000_000) -> None:
-        if max_samples <= 0:
-            raise ValueError("max_samples must be positive")
-        self._max_samples = max_samples
-        self._samples: list[float] = []
-        self._stride = 1
-        self._pending = 0
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def record(self, cycles: float) -> None:
-        """Add one sample (cycles spent by one operation)."""
-        self.count += 1
-        self.total += cycles
-        self.total_sq += cycles * cycles
-        if cycles < self.minimum:
-            self.minimum = cycles
-        if cycles > self.maximum:
-            self.maximum = cycles
-        self._pending += 1
-        if self._pending >= self._stride:
-            self._pending = 0
-            self._samples.append(cycles)
-            if len(self._samples) > self._max_samples:
-                # Thin by 2: keep every other retained sample.
-                self._samples = self._samples[::2]
-                self._stride *= 2
-
-    def extend(self, samples: Iterable[float]) -> None:
-        """Record many samples."""
-        for sample in samples:
-            self.record(sample)
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder into this one (shard-histogram merge).
-
-        Running moments (count/mean/stddev/min/max) stay exact; the
-        percentile reservoirs are concatenated and re-thinned to the
-        cap, so merged percentiles carry the same approximation
-        quality as a single recorder that thinned.  Lets a parallel
-        sweep keep one recorder per shard and combine them afterwards.
-        """
-        self.count += other.count
-        self.total += other.total
-        self.total_sq += other.total_sq
-        if other.count:
-            self.minimum = min(self.minimum, other.minimum)
-            self.maximum = max(self.maximum, other.maximum)
-        self._samples.extend(other._samples)
-        self._stride = max(self._stride, other._stride)
-        while len(self._samples) > self._max_samples:
-            self._samples = self._samples[::2]
-            self._stride *= 2
-
-    def percentile(self, fraction: float) -> float:
-        """One percentile (``fraction`` in [0, 1]) over retained samples."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("percentile fraction must be within [0, 1]")
-        return _percentile(sorted(self._samples), fraction)
-
-    @property
-    def p50(self) -> float:
-        """Median latency (approximate once thinning kicked in)."""
-        return self.percentile(0.50)
-
-    @property
-    def p95(self) -> float:
-        """95th-percentile latency."""
-        return self.percentile(0.95)
-
-    @property
-    def p99(self) -> float:
-        """99th-percentile latency."""
-        return self.percentile(0.99)
-
-    @property
-    def mean(self) -> float:
-        """Exact arithmetic mean of all recorded samples."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation (exact, from running moments)."""
-        if self.count == 0:
-            return 0.0
-        variance = self.total_sq / self.count - self.mean**2
-        return math.sqrt(max(variance, 0.0))
-
-    def summary(self) -> LatencySummary:
-        """Produce a :class:`LatencySummary` (percentiles approximate
-        once thinning kicked in, exact otherwise)."""
-        ordered = sorted(self._samples)
-        return LatencySummary(
-            count=self.count,
-            mean=self.mean,
-            minimum=self.minimum if self.count else 0.0,
-            maximum=self.maximum if self.count else 0.0,
-            p50=_percentile(ordered, 0.50),
-            p95=_percentile(ordered, 0.95),
-            p99=_percentile(ordered, 0.99),
-            stddev=self.stddev,
-        )
-
-    def reset(self) -> None:
-        """Drop all samples and zero the running moments."""
-        self.__init__(self._max_samples)
 
 
 class TimeBreakdown:

@@ -5,11 +5,10 @@ fidelity gate also verifies the machinery's core invariants
 differentially:
 
 * **serial vs parallel** — a ``--jobs N`` sweep must produce
-  byte-identical report JSON to a serial sweep (the engine merges
-  shards in declaration order precisely to guarantee this);
+  byte-identical report JSON to a serial sweep (each experiment is
+  one work unit and a pure function of its request);
 * **cached vs fresh** — replaying a sweep from the on-disk cache must
-  reproduce the freshly computed reports byte-for-byte (and cached
-  entries must stay untraced: ``timeseries`` is never cached);
+  reproduce the freshly computed reports byte-for-byte;
 * **seed shift** — shape claims must hold under a different machine
   seed: the paper's conclusions cannot hinge on one lucky RNG stream
   (the write buffer's random eviction is the only stochastic piece);

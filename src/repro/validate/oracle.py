@@ -64,8 +64,6 @@ def validate(
     force: bool = False,
     mutation: str | None = None,
     progress: Callable[[ClaimVerdict], None] | None = None,
-    shard_timeout: float | None = None,
-    max_retries: int = 2,
 ) -> FidelityReport:
     """Evaluate the selected paper claims; returns the fidelity report.
 
@@ -94,8 +92,7 @@ def validate(
     requests = _requests_for(claims, profile)
 
     def sweep():
-        return run_sweep(requests, jobs=jobs, cache=cache, force=force,
-                         shard_timeout=shard_timeout, max_retries=max_retries)
+        return run_sweep(requests, jobs=jobs, cache=cache, force=force)
 
     if overrides is not None:
         with preset_overrides(**overrides):

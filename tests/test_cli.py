@@ -53,6 +53,37 @@ class TestParser:
             build_parser().parse_args(["run", "fig2", "--cache", "--no-cache"])
 
 
+class TestSchedulingValues:
+    """Nonsensical scheduling values are usage errors, not degraded sweeps."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig4", "--jobs", "0"],
+        ["run", "fig4", "--jobs", "-3"],
+        ["run", "fig4", "--retries", "-1"],
+        ["run", "fig4", "--jobs", "2", "--shard-timeout", "0", "--retries", "1"],
+        ["run", "fig4", "--shard-timeout", "-2.5"],
+        ["crashtest", "linkedlist", "--jobs", "0"],
+        ["crashtest", "linkedlist", "--retries", "-1"],
+        ["crashtest", "linkedlist", "--shard-timeout", "0"],
+        ["validate", "--jobs", "0"],
+        ["validate", "--jobs", "-3"],
+    ])
+    def test_rejected_with_usage_message(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]}")
+        assert "must be" in err
+        assert "DEGRADED" not in err
+
+    def test_boundary_values_accepted(self):
+        args = build_parser().parse_args(
+            ["run", "fig4", "--jobs", "1", "--retries", "0", "--shard-timeout", "0.5"])
+        assert (args.jobs, args.retries, args.shard_timeout) == (1, 0, 0.5)
+        assert build_parser().parse_args(["validate", "--jobs", "1"]).jobs == 1
+
+
 class TestRun:
     def test_run_fig4_smoke(self, capsys):
         assert main(["run", "fig4"]) == 0

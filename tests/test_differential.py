@@ -1,6 +1,6 @@
 """Differential tests: serial vs process-pool vs cached sweeps agree.
 
-The PR-2 hardening (retries, quarantine, shard timeouts) must never
+The engine's hardening (retries, quarantine, unit timeouts) must never
 change *results* — a pooled sweep, a serial sweep and a cache replay
 of the same requests have to produce byte-identical report JSON.
 These tests drive the public :mod:`repro.validate.determinism` checks
@@ -38,31 +38,28 @@ class TestCachedVsFresh:
         assert result.passed, result.detail
 
     def test_cached_entries_stay_untraced(self, tmp_path):
-        """Tracing must never leak into the cache.
+        """Tracing never changes or leaks into what a sweep returns.
 
-        A sweep under an ambient trace session attaches telemetry to
-        the returned report, but the engine stores reports *before*
-        attaching — so a later replay comes back untraced
-        (``timeseries is None``) and byte-identical to an ordinary run.
+        Under an ambient trace session the engine's in-process run is
+        traced like any other code: the session holds the time series,
+        while the returned (and cached) reports stay byte-identical to
+        an untraced run.
         """
-        cache = ResultCache(tmp_path)
         requests = [RunRequest.make("fig4", generation=1, profile="fast")]
-        with session(interval=5000):
-            traced, _ = run_sweep(requests, jobs=1, cache=cache, force=True)
+        untraced, _ = run_sweep(requests, jobs=1, cache=None)
+        with session(interval=5000) as sess:
+            traced, _ = run_sweep(requests, jobs=1, cache=ResultCache(tmp_path), force=True)
         assert traced[0].error is None
-        assert traced[0].reports[0].timeseries is not None
+        assert sess.timeseries().rows
 
-        replay, metrics = run_sweep(requests, jobs=1, cache=cache)
+        def canonical(results):
+            return json.dumps([report.to_dict() for report in results[0].reports],
+                              sort_keys=True)
+
+        assert canonical(traced) == canonical(untraced)
+        replay, metrics = run_sweep(requests, jobs=1, cache=ResultCache(tmp_path))
         assert metrics.cache_hits == 1
-        assert all(report.timeseries is None for report in replay[0].reports)
-
-        untraced_dicts = [
-            {**report.to_dict(), "timeseries": None} for report in traced[0].reports
-        ]
-        replay_dicts = [report.to_dict() for report in replay[0].reports]
-        assert json.dumps(replay_dicts, sort_keys=True) == json.dumps(
-            untraced_dicts, sort_keys=True
-        )
+        assert canonical(replay) == canonical(untraced)
 
 
 class TestTimeseriesRoundTrip:

@@ -7,6 +7,11 @@ report JSON::
     sha256(json.dumps([r.to_dict() for r in REGISTRY[name].run(g, "fast")],
                       sort_keys=True))
 
+It also holds perfbench's prefix digests (the SHA-256 of the simulated
+outputs of a workload's fixed prefix rounds, see ``perfbench/harness.py``)
+for two seeds, as ``harness.run(workload, seed, seconds=0,
+trace=False).digest``.
+
 A refactor that claims not to change the model must keep every digest.
 The table changes only with a declared model change that names each
 moved digest and why; it is never regenerated to make a failure go
@@ -15,6 +20,7 @@ together are checked in tier-1, the rest in tier-2 (``slow``).
 """
 
 import hashlib
+import importlib
 import json
 import pathlib
 
@@ -22,11 +28,12 @@ import pytest
 
 from repro.runner.registry import REGISTRY
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "report_digests.json"
-DIGESTS = json.loads(GOLDEN.read_text())["digests"]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "tests" / "golden" / "report_digests.json").read_text())
+DIGESTS = GOLDEN["digests"]
 
 #: Experiments too slow for tier-1 (several seconds per generation).
-SLOW = {"fig7", "fig13", "fig14"}
+SLOW = {"fig6", "fig7", "fig8", "fig10", "fig12", "fig13", "fig14", "table1"}
 
 
 def report_digest(name: str, generation: int) -> str:
@@ -50,4 +57,23 @@ def test_report_digest_is_unchanged(name, generation, expected):
     assert actual == expected, (
         f"{name} G{generation} fast-profile report changed: digest is now {actual}, "
         f"golden is {expected}"
+    )
+
+
+def _perfbench_cases():
+    for workload, per_seed in GOLDEN["perfbench_prefix"].items():
+        for key, expected in per_seed.items():
+            seed = int(key.removeprefix("seed"))
+            yield pytest.param(workload, seed, expected, id=f"{workload}-{key}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload,seed,expected", list(_perfbench_cases()))
+def test_perfbench_prefix_digest_is_unchanged(workload, seed, expected, monkeypatch):
+    # perfbench imports its modules as top-level names from its own directory.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    harness = importlib.import_module("harness")
+    actual = harness.run(workload, seed, seconds=0, trace=False).digest
+    assert actual == expected, (
+        f"perfbench {workload} seed {seed} prefix digest is now {actual}, golden is {expected}"
     )

@@ -1,168 +1,10 @@
-"""Tests for latency recording and time breakdowns."""
+"""Tests for time breakdowns."""
 
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.stats.latency import LatencyRecorder, TimeBreakdown, _percentile
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert _percentile([], 0.5) == 0.0
-
-    def test_single(self):
-        assert _percentile([7.0], 0.99) == 7.0
-
-    def test_median_odd(self):
-        assert _percentile([1.0, 2.0, 3.0], 0.5) == 2.0
-
-    def test_interpolation(self):
-        assert _percentile([0.0, 10.0], 0.25) == 2.5
-
-    def test_extremes(self):
-        samples = sorted(float(v) for v in range(10))
-        assert _percentile(samples, 0.0) == 0.0
-        assert _percentile(samples, 1.0) == 9.0
-
-
-class TestLatencyRecorder:
-    def test_mean_and_count(self):
-        recorder = LatencyRecorder()
-        recorder.extend([10, 20, 30])
-        assert recorder.count == 3
-        assert recorder.mean == 20.0
-
-    def test_min_max(self):
-        recorder = LatencyRecorder()
-        recorder.extend([5, 1, 9])
-        assert recorder.minimum == 1
-        assert recorder.maximum == 9
-
-    def test_stddev(self):
-        recorder = LatencyRecorder()
-        recorder.extend([2, 4, 4, 4, 5, 5, 7, 9])
-        assert recorder.stddev == pytest.approx(2.0)
-
-    def test_empty_summary(self):
-        summary = LatencyRecorder().summary()
-        assert summary.count == 0
-        assert summary.mean == 0.0
-
-    def test_summary_percentiles(self):
-        recorder = LatencyRecorder()
-        recorder.extend(range(101))
-        summary = recorder.summary()
-        assert summary.p50 == pytest.approx(50.0)
-        assert summary.p95 == pytest.approx(95.0)
-        assert summary.p99 == pytest.approx(99.0)
-
-    def test_thinning_keeps_exact_moments(self):
-        recorder = LatencyRecorder(max_samples=64)
-        recorder.extend(range(1000))
-        assert recorder.count == 1000
-        assert recorder.mean == pytest.approx(499.5)
-        assert recorder.maximum == 999
-
-    def test_thinning_bounds_memory(self):
-        recorder = LatencyRecorder(max_samples=64)
-        recorder.extend(range(10_000))
-        assert len(recorder._samples) <= 65
-
-    def test_reset(self):
-        recorder = LatencyRecorder()
-        recorder.record(5)
-        recorder.reset()
-        assert recorder.count == 0
-
-    def test_rejects_bad_max_samples(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder(max_samples=0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=300))
-    def test_moments_match_naive(self, samples):
-        recorder = LatencyRecorder()
-        recorder.extend(samples)
-        assert recorder.mean == pytest.approx(sum(samples) / len(samples), rel=1e-9, abs=1e-6)
-        assert recorder.minimum == min(samples)
-        assert recorder.maximum == max(samples)
-
-    def test_percentile_accessors(self):
-        recorder = LatencyRecorder()
-        recorder.extend(range(101))
-        assert recorder.percentile(0.5) == pytest.approx(50.0)
-        assert recorder.p50 == pytest.approx(50.0)
-        assert recorder.p95 == pytest.approx(95.0)
-        assert recorder.p99 == pytest.approx(99.0)
-
-    def test_percentile_rejects_out_of_range(self):
-        recorder = LatencyRecorder()
-        recorder.record(1.0)
-        with pytest.raises(ValueError):
-            recorder.percentile(1.5)
-        with pytest.raises(ValueError):
-            recorder.percentile(-0.1)
-
-    def test_percentile_of_empty_is_zero(self):
-        assert LatencyRecorder().p95 == 0.0
-
-
-class TestMerge:
-    def test_merge_is_exact_for_moments(self):
-        left, right, whole = LatencyRecorder(), LatencyRecorder(), LatencyRecorder()
-        a, b = [3.0, 1.0, 9.0], [2.0, 8.0, 4.0, 6.0]
-        left.extend(a)
-        right.extend(b)
-        whole.extend(a + b)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean)
-        assert left.stddev == pytest.approx(whole.stddev)
-        assert left.minimum == whole.minimum
-        assert left.maximum == whole.maximum
-
-    def test_merge_empty_is_identity(self):
-        recorder = LatencyRecorder()
-        recorder.extend([5.0, 7.0])
-        recorder.merge(LatencyRecorder())
-        assert recorder.count == 2
-        assert recorder.minimum == 5.0 and recorder.maximum == 7.0
-
-    def test_merge_into_empty(self):
-        recorder = LatencyRecorder()
-        shard = LatencyRecorder()
-        shard.extend([5.0, 7.0])
-        recorder.merge(shard)
-        assert recorder.count == 2
-        assert recorder.p50 == pytest.approx(6.0)
-
-    def test_merge_respects_sample_cap(self):
-        left = LatencyRecorder(max_samples=64)
-        right = LatencyRecorder(max_samples=64)
-        left.extend(range(500))
-        right.extend(range(500, 1000))
-        left.merge(right)
-        assert left.count == 1000
-        assert len(left._samples) <= 65
-        assert left.maximum == 999
-
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100),
-        st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100),
-    )
-    def test_merge_matches_concatenation(self, a, b):
-        merged, whole = LatencyRecorder(), LatencyRecorder()
-        shard = LatencyRecorder()
-        merged.extend(a)
-        shard.extend(b)
-        whole.extend(a + b)
-        merged.merge(shard)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-6)
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
+from repro.stats.latency import TimeBreakdown
 
 
 class TestTimeBreakdown:

@@ -9,6 +9,7 @@ from repro.runner import (
     REGISTRY,
     ExperimentSpec,
     ResultCache,
+    RunMetrics,
     RunRequest,
     code_version,
     request_key,
@@ -217,12 +218,24 @@ class TestRunSweep:
         _, metrics = run_sweep([RunRequest.make("syn")], cache=cache)
         assert "0 hits / 1 miss" in metrics.summary()
 
+    def test_every_executed_unit_records_its_wall_time(self, synthetic):
+        requests = [RunRequest.make("syn"), RunRequest.make("syn", generation=2)]
+        results, metrics = run_sweep(requests)
+        assert metrics.unit_seconds == [result.wall_time for result in results]
+
+    def test_summary_interpolates_unit_percentiles(self):
+        metrics = RunMetrics(unit_seconds=[4.0, 0.0, 10.0, 2.0])
+        # Linear interpolation between order statistics: p50 sits
+        # halfway between 2 and 4, p95 at 85 % of the way from 4 to 10.
+        assert "unit p50/p95: 3.0s/9.1s" in metrics.summary()
+        assert "unit p50" not in RunMetrics(unit_seconds=[4.0]).summary()
+
 
 class TestDeterminismAcrossJobs:
-    def test_jobs1_equals_jobs4_including_shards(self):
-        # sec33 is unsharded and cheap; fig2 exercises the per-curve
-        # shard/merge path.  Real pool where available, serial
-        # fallback otherwise — results must be identical either way.
+    def test_jobs1_equals_jobs4(self):
+        # Two cheap experiments, each one work unit.  Real pool where
+        # available, serial fallback otherwise — results must be
+        # identical either way.
         requests = [RunRequest.make("sec33"), RunRequest.make("fig2")]
         serial, _ = run_sweep(requests, jobs=1)
         parallel, _ = run_sweep(requests, jobs=4)
@@ -238,16 +251,6 @@ class TestRegistry:
         with pytest.raises(KeyError):
             resolve_names(["fig2", "fig99"])
 
-    def test_sharded_specs_expose_merge(self):
-        for spec in REGISTRY.values():
-            assert (spec.subtasks is None) == (spec.merge is None)
-
-    def test_fig2_shards_match_direct_run(self):
-        spec = REGISTRY["fig2"]
-        tasks = spec.subtasks(1, "fast")
-        merged = spec.merge(1, "fast", [task(1, "fast") for task in tasks])
-        direct = spec.run(1, "fast")
-        assert [r.to_dict() for r in merged] == [r.to_dict() for r in direct]
 
 
 import multiprocessing
@@ -326,9 +329,12 @@ class TestHardenedSerialPath:
         assert results[1].reports == [make_report("syn-g1-fast")]
         assert len(metrics.failed_shards) == 1
         record = metrics.failed_shards[0]
-        assert record["experiment"] == "bad"
-        assert record["shard"] is None
-        assert record["attempts"] == 2  # initial try + 1 retry
+        assert record == {
+            "experiment": "bad",
+            "attempts": 2,  # initial try + 1 retry
+            "reason": "ValueError: synthetic experiment failure",
+        }
+        assert results[0].error == "ValueError: synthetic experiment failure after 2 attempts"
 
     def test_flaky_experiment_succeeds_on_retry(self, hardened_registry):
         results, metrics = run_sweep(
@@ -402,6 +408,16 @@ class TestHardenedPooledPath:
         assert "ValueError" in results[0].error
         assert results[1].reports == [make_report("syn-g1-fast")]
         assert len(metrics.failed_shards) == 1
+
+    def test_pooled_and_serial_failures_read_the_same(self, hardened_registry):
+        _require_pool()
+        requests = [RunRequest.make("bad")]
+        serial, serial_metrics = run_sweep(requests, jobs=1, max_retries=1, backoff=0.01)
+        pooled, pooled_metrics = run_sweep(requests, jobs=2, max_retries=1, backoff=0.01)
+        assert not pooled_metrics.pool_fallback
+        assert pooled[0].error == serial[0].error
+        assert pooled_metrics.failed_shards == serial_metrics.failed_shards
+        assert pooled_metrics.retries == serial_metrics.retries == 1
 
 
 class TestCacheWriteWarning:
