@@ -49,21 +49,12 @@ class ReadBufferEntry:
 
 
 class ReadBuffer:
-    """FIFO, CPU-cache-exclusive buffer of recently fetched XPLines.
+    """FIFO, CPU-cache-exclusive buffer of recently fetched XPLines."""
 
-    ``policy="lru"`` is an *ablation* mode (not what the hardware
-    does): hits refresh the eviction position, which erases the sharp
-    capacity step of Figure 2 — exactly the counterfactual the paper
-    uses to argue the real buffer is FIFO.
-    """
-
-    def __init__(self, capacity_bytes: int, name: str = "read-buffer", policy: str = "fifo") -> None:
+    def __init__(self, capacity_bytes: int, name: str = "read-buffer") -> None:
         if capacity_bytes < XPLINE_SIZE:
             raise ConfigError(f"{name}: capacity {capacity_bytes} below one XPLine")
-        if policy not in ("fifo", "lru"):
-            raise ConfigError(f"{name}: unknown eviction policy {policy!r}")
         self.name = name
-        self.policy = policy
         self.capacity_lines = capacity_bytes // XPLINE_SIZE
         # Insertion-ordered: first key is the FIFO victim.
         self._entries: OrderedDict[int, ReadBufferEntry] = OrderedDict()
@@ -94,8 +85,6 @@ class ReadBuffer:
         entry.consume(slot)
         if entry.fully_consumed:
             del self._entries[xpline]
-        elif self.policy == "lru":
-            self._entries.move_to_end(xpline)
         return True
 
     def install(self, xpline: int, consumed_slots: tuple[int, ...] = ()) -> int | None:

@@ -14,28 +14,27 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.datastores.base import OP_CLASSES, CoreProxy
 from repro.stats.latency import TimeBreakdown
 from repro.system.machine import Core
 
 
-class InstrumentedCore:
-    """A Core proxy that attributes every cycle to a breakdown bucket.
+class InstrumentedCore(CoreProxy):
+    """A core proxy that attributes every cycle to a breakdown bucket.
 
-    Buckets default to the operation kind (``load``, ``store``,
-    ``flush``, ``fence``, ``nt_store``, ``stream_load``, ``compute``);
-    inside a ``with instrumented.phase("segment-metadata"):`` block the
+    Buckets default to the operation's
+    :data:`~repro.datastores.base.OP_CLASSES` bucket (``load``,
+    ``store``, ``flush``, ``fence``, ``nt_store``, ``stream_load``,
+    ``compute``); ``persist`` is charged as its ``flush`` and ``fence``.
+    Inside a ``with instrumented.phase("segment-metadata"):`` block the
     phase label is used instead, so data structures can mark their
     semantically interesting regions.
     """
 
     def __init__(self, core: Core) -> None:
-        self.core = core
+        super().__init__(core)
         self.breakdown = TimeBreakdown()
         self._phase: str | None = None
-
-    @property
-    def now(self) -> float:
-        return self.core.now
 
     @contextmanager
     def phase(self, label: str):
@@ -47,72 +46,9 @@ class InstrumentedCore:
         finally:
             self._phase = previous
 
-    def _charge(self, default_bucket: str, cycles: float) -> None:
-        self.breakdown.charge(self._phase or default_bucket, cycles)
-
-    # -- proxied operations -------------------------------------------------
-
-    def load(self, addr: int, size: int = 8) -> float:
-        cycles = self.core.load(addr, size)
-        self._charge("load", cycles)
-        return cycles
-
-    def store(self, addr: int, size: int = 8) -> float:
-        cycles = self.core.store(addr, size)
-        self._charge("store", cycles)
-        return cycles
-
-    def nt_store(self, addr: int, size: int = 64) -> float:
-        cycles = self.core.nt_store(addr, size)
-        self._charge("nt_store", cycles)
-        return cycles
-
-    def stream_load(self, addr: int, size: int = 64) -> float:
-        cycles = self.core.stream_load(addr, size)
-        self._charge("stream_load", cycles)
-        return cycles
-
-    def clwb(self, addr: int, size: int = 64) -> float:
-        cycles = self.core.clwb(addr, size)
-        self._charge("flush", cycles)
-        return cycles
-
-    def clflushopt(self, addr: int, size: int = 64) -> float:
-        cycles = self.core.clflushopt(addr, size)
-        self._charge("flush", cycles)
-        return cycles
-
-    def clflush(self, addr: int, size: int = 64) -> float:
-        cycles = self.core.clflush(addr, size)
-        self._charge("flush", cycles)
-        return cycles
-
-    def sfence(self) -> float:
-        cycles = self.core.sfence()
-        self._charge("fence", cycles)
-        return cycles
-
-    def mfence(self) -> float:
-        cycles = self.core.mfence()
-        self._charge("fence", cycles)
-        return cycles
-
-    def fence(self, kind: str = "sfence") -> float:
-        cycles = self.core.fence(kind)
-        self._charge("fence", cycles)
-        return cycles
-
-    def persist(self, addr: int, size: int = 64, fence: str = "sfence") -> float:
-        start = self.core.now
-        self.core.clwb(addr, size)
-        self.core.fence(fence)
-        cycles = self.core.now - start
-        self._charge("persist", cycles)
-        return cycles
-
-    def tick(self, cycles: float) -> None:
-        self.core.tick(cycles)
-        self._charge("compute", cycles)
+    def observe(self, op: str, addr: int, size: int, cycles: float) -> None:
+        """Charge ``cycles`` to the current phase or the op's bucket."""
+        self.breakdown.charge(self._phase or OP_CLASSES[op].bucket, cycles)
 
 
 def read_write_summary(breakdown: TimeBreakdown) -> dict[str, float]:

@@ -39,10 +39,8 @@ class OptaneDimmConfig:
     #: G1 flushes fully-dirty XPLines every ~5000 cycles (§3.2).
     periodic_writeback: bool = True
     writeback_period: float = 5000.0
-    #: Eviction policies — the hardware values are "fifo" (read buffer,
-    #: §3.1) and "random" (write buffer, §3.2); the alternatives exist
-    #: for ablation studies.
-    read_buffer_policy: str = "fifo"
+    #: Write-buffer eviction policy — the hardware value is "random"
+    #: (§3.2); "fifo" exists for ablation studies.
     write_buffer_eviction: str = "random"
     #: Whether writes adopt read-buffered XPLines (§3.3); ablation knob.
     enable_transition: bool = True
@@ -60,8 +58,6 @@ class OptaneDimmConfig:
         for attr in ("buffer_read_latency", "ingest_latency", "transfer_latency"):
             if getattr(self, attr) < 0:
                 raise ConfigError(f"{attr} cannot be negative")
-        if self.read_buffer_policy not in ("fifo", "lru"):
-            raise ConfigError(f"unknown read buffer policy {self.read_buffer_policy!r}")
         if self.write_buffer_eviction not in ("random", "fifo"):
             raise ConfigError(f"unknown write buffer eviction {self.write_buffer_eviction!r}")
         if self.persist_drain_latency < 0:

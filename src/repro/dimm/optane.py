@@ -71,11 +71,7 @@ class OptaneDimm:
         self.tracer = None
         self.trace_track: str | None = None
         self.media = XPointMedia(config.media, counters, name=f"{name}.media")
-        self.read_buffer = ReadBuffer(
-            config.read_buffer_bytes,
-            name=f"{name}.rbuf",
-            policy=config.read_buffer_policy,
-        )
+        self.read_buffer = ReadBuffer(config.read_buffer_bytes, name=f"{name}.rbuf")
         self.write_buffer = WriteBuffer(
             config.write_buffer_bytes,
             rng=rng,

@@ -173,9 +173,3 @@ def run_all() -> list[ExperimentReport]:
         ablate_transition(),
         ablate_sfence_window(),
     ]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for report in run_all():
-        print(report.render())
-        print()

@@ -85,7 +85,3 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
         ]
         report.add_series(kind, values)
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(1).render())

@@ -39,8 +39,3 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     buffer_kib = machine_for(generation).config.optane.read_buffer_bytes // kib(1)
     report.notes.append(f"read buffer capacity (config): {buffer_kib} KB")
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for gen in (1, 2):
-        print(run(gen).render())

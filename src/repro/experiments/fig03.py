@@ -43,8 +43,3 @@ def run(generation: int = 1, profile: str = "fast", random_across_xplines: bool 
         "access order across XPLines: " + ("random" if random_across_xplines else "sequential")
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for gen in (1, 2):
-        print(run(gen).render())

@@ -33,7 +33,3 @@ def run(profile: str = "fast") -> ExperimentReport:
             values.append(result.inferred_hit_ratio)
         report.add_series(f"G{generation} Optane", values)
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render())

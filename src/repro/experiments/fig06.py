@@ -58,9 +58,3 @@ def run_panel(
 def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """All four panels for one generation."""
     return [run_panel(generation, panel, profile) for panel, _ in PANELS]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for report in run(1):
-        print(report.render())
-        print()

@@ -39,9 +39,3 @@ def run_panel(generation: int, region: str, profile: str = "fast") -> Experiment
 def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """All four panels of one Figure 7 row."""
     return [run_panel(generation, region, profile) for region, _ in FIGURE7_PANELS]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for report in run(1):
-        print(report.render(precision=0))
-        print()

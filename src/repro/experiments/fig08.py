@@ -93,9 +93,3 @@ def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
         run_panel_relaxed(generation, profile),
         run_panel_breakdown(generation, profile),
     ]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for report in run(1):
-        print(report.render(precision=0))
-        print()

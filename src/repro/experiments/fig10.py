@@ -54,9 +54,3 @@ def run_region(generation: int, region: str, profile: str = "fast") -> Experimen
 def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Both panels: PM and DRAM."""
     return [run_region(generation, "pm", profile), run_region(generation, "dram", profile)]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for report in run(1):
-        print(report.render())
-        print()

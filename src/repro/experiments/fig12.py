@@ -91,9 +91,3 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     for name, values in data.items():
         report.add_series(name, values)
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for gen in (1, 2):
-        print(run(gen).render())
-        print()

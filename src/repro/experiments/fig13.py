@@ -39,9 +39,3 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     report.add_series("PM with prefetching", pm_baseline)
     report.add_series("Optimized PM", pm_redirect)
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for gen in (1, 2):
-        print(run(gen).render())
-        print()

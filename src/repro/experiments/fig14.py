@@ -88,7 +88,3 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     for name, values in data.items():
         report.add_series(name, values)
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(1).render())

@@ -56,7 +56,3 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
         ],
     )
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run(1).render())

@@ -44,7 +44,3 @@ def run(profile: str = "fast") -> ExperimentReport:
             values.append(measure_handover(lock, cores, rounds))
         report.add_series(f"G{generation}", values)
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().render(precision=0))

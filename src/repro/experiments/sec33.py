@@ -74,8 +74,3 @@ def as_report(result: Sec33Result) -> ExperimentReport:
     )
     report.notes.append(f"buffers_are_separate = {sep.buffers_are_separate}")
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for gen in (1, 2):
-        print(as_report(run(gen)).render())

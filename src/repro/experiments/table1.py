@@ -78,7 +78,3 @@ def as_report(rows: list[Table1Row], generation: int = 1) -> ExperimentReport:
     report.add_series("Persists", [row.persists * 100 for row in rows])
     report.add_series("Misc.", [row.misc * 100 for row in rows])
     return report
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(as_report(run()).render(precision=1))

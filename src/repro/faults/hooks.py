@@ -7,9 +7,9 @@ to stop execution dead at a chosen event so a power failure can be
 injected at exactly that point.
 
 :class:`HookedCore` wraps a real :class:`~repro.system.machine.Core`
-and satisfies the :class:`~repro.datastores.base.CoreLike` protocol,
-so any shipped data store runs on it unmodified.  Each persistence
-event is forwarded to an :class:`EventTap`, which
+as a :class:`~repro.datastores.base.CoreProxy`, so any shipped data
+store runs on it unmodified.  Each persistence event is forwarded to
+an :class:`EventTap`, which
 
 * assigns the event its global index (the campaign's crash-point id),
 * maintains a :class:`~repro.persist.crash.DurabilityChecker` ledger
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, cacheline_index
 from repro.common.errors import ReproError
+from repro.datastores.base import OP_CLASSES, CoreProxy
 from repro.persist.crash import DurabilityChecker
 
 
@@ -49,7 +50,7 @@ class PersistEvent:
 
     #: Global index in the event stream — the crash-point identifier.
     index: int
-    #: "store" | "nt_store" | "clwb" | "clflushopt" | "fence".
+    #: "store" | "nt_store" | "clwb" | "clflushopt" | "clflush" | "fence".
     kind: str
     #: Target byte address (0 for fences).
     addr: int
@@ -116,7 +117,11 @@ class EventTap:
         self._record("store", addr, size)
 
     def on_flush(self, kind: str, addr: int, size: int) -> None:
-        """A clwb/clflushopt/nt-store: lines head toward durability."""
+        """A clwb/clflushopt/clflush/nt-store: lines head toward durability.
+
+        Like the others, a serializing clflush is claimed only at the
+        next fence, which under-claims rather than over-claims.
+        """
         self._pending_lines.update(_lines(addr, size))
         self._record(kind, addr, size)
 
@@ -136,76 +141,28 @@ class EventTap:
             raise CrashPointReached(event.describe())
 
 
-class HookedCore:
-    """A CoreLike proxy that mirrors persistence events into a tap.
+class HookedCore(CoreProxy):
+    """A :class:`~repro.datastores.base.CoreProxy` that feeds a tap.
 
     Every operation executes on the wrapped core *first* (so the
-    machine state is exactly what the real workload produces), then the
-    event is reported.  Loads and ticks pass through silently: they
-    cannot change what a crash destroys, and skipping them keeps the
-    crash-point space small enough to enumerate exhaustively.
+    machine state is exactly what the real workload produces), then its
+    persistence event, per :data:`~repro.datastores.base.OP_CLASSES`,
+    is reported.  Loads, stream loads and ticks pass through silently:
+    they cannot change what a crash destroys, and skipping them keeps
+    the crash-point space small enough to enumerate exhaustively.
     """
 
     def __init__(self, core, tap: EventTap) -> None:
         """Wrap ``core``, reporting its persistence events to ``tap``."""
-        self._core = core
+        super().__init__(core)
         self.tap = tap
 
-    @property
-    def now(self) -> float:
-        """The wrapped core's local clock."""
-        return self._core.now
-
-    # -- silent passthroughs ----------------------------------------------
-
-    def load(self, addr: int, size: int = 8) -> float:
-        """Forward a load (no event: loads do not affect durability)."""
-        return self._core.load(addr, size)
-
-    def tick(self, cycles: float) -> None:
-        """Forward pure compute time."""
-        self._core.tick(cycles)
-
-    # -- tapped operations -------------------------------------------------
-
-    def store(self, addr: int, size: int = 8) -> float:
-        """Forward a cached store, then report it."""
-        cost = self._core.store(addr, size)
-        self.tap.on_store(addr, size)
-        return cost
-
-    def nt_store(self, addr: int, size: int = 64) -> float:
-        """Forward a non-temporal store, then report it as a flush."""
-        cost = self._core.nt_store(addr, size)
-        self.tap.on_flush("nt_store", addr, size)
-        return cost
-
-    def clwb(self, addr: int, size: int = 64) -> float:
-        """Forward a clwb, then report it."""
-        cost = self._core.clwb(addr, size)
-        self.tap.on_flush("clwb", addr, size)
-        return cost
-
-    def clflushopt(self, addr: int, size: int = 64) -> float:
-        """Forward a clflushopt, then report it."""
-        cost = self._core.clflushopt(addr, size)
-        self.tap.on_flush("clflushopt", addr, size)
-        return cost
-
-    def sfence(self) -> float:
-        """Forward an sfence, then report it."""
-        cost = self._core.sfence()
-        self.tap.on_fence()
-        return cost
-
-    def mfence(self) -> float:
-        """Forward an mfence, then report it."""
-        cost = self._core.mfence()
-        self.tap.on_fence()
-        return cost
-
-    def fence(self, kind: str = "sfence") -> float:
-        """Forward a fence by name, then report it."""
-        cost = self._core.fence(kind)
-        self.tap.on_fence()
-        return cost
+    def observe(self, op: str, addr: int, size: int, cycles: float) -> None:
+        """Report one executed op to the tap as its persistence event."""
+        event = OP_CLASSES[op].event
+        if event == "store":
+            self.tap.on_store(addr, size)
+        elif event == "flush":
+            self.tap.on_flush(op, addr, size)
+        elif event == "fence":
+            self.tap.on_fence()

@@ -3,13 +3,7 @@
 from repro.persist.allocator import PmHeap, RegionAllocator
 from repro.persist.crash import CrashReport, CrashSimulator, DurabilityChecker, FaultMode
 from repro.persist.log import LogRecord, RedoLog
-from repro.persist.persistency import (
-    FenceKind,
-    FlushKind,
-    PersistConfig,
-    PersistencyModel,
-    Persister,
-)
+from repro.persist.persistency import FenceKind, FlushKind, PersistencyModel
 
 __all__ = [
     "PmHeap",
@@ -22,7 +16,5 @@ __all__ = [
     "RedoLog",
     "FenceKind",
     "FlushKind",
-    "PersistConfig",
     "PersistencyModel",
-    "Persister",
 ]

@@ -1,4 +1,4 @@
-"""Persistency models (paper Section 3.6).
+"""Persistency models and persist instructions (paper Section 3.6).
 
 The paper contrasts the two extremes of the persistency spectrum:
 
@@ -8,32 +8,23 @@ The paper contrasts the two extremes of the persistency spectrum:
   of an epoch (here: one pass over the working set) orders everything
   at once.
 
-:class:`Persister` wraps a core with a configured (model, flush
-instruction, fence instruction) triple so that benchmark kernels can
-be written once and swept over all combinations the paper measures:
-clwb vs nt-store, sfence vs mfence, strict vs relaxed.
+These enums name the (model, flush instruction, fence instruction)
+points the benchmark kernels sweep: clwb vs nt-store, sfence vs
+mfence, strict vs relaxed.  The kernels dispatch on them directly
+(:func:`repro.core.microbench.rap.run_rap_iterations`,
+:class:`repro.core.microbench.pointer_chase.PointerChaseBench`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from repro.system.machine import Core
 
 
 class PersistencyModel(enum.Enum):
-    """How aggressively persists are ordered.
-
-    STRICT and RELAXED are the paper's two measured extremes (§3.6);
-    EPOCH is the intermediate model of Pelley et al. [24] the paper
-    cites — writes within an epoch reorder freely, a fence closes each
-    epoch.  Epoch length is configured on the :class:`Persister`.
-    """
+    """How aggressively persists are ordered (the paper's two extremes)."""
 
     STRICT = "strict"
     RELAXED = "relaxed"
-    EPOCH = "epoch"
 
 
 class FlushKind(enum.Enum):
@@ -42,9 +33,6 @@ class FlushKind(enum.Enum):
     CLWB = "clwb"
     CLFLUSHOPT = "clflushopt"
     NT_STORE = "nt-store"
-    #: eADR programming model (paper §6): the caches are persistent,
-    #: so no flush instruction is issued at all — fences only order.
-    NONE = "none"
 
 
 class FenceKind(enum.Enum):
@@ -52,67 +40,3 @@ class FenceKind(enum.Enum):
 
     SFENCE = "sfence"
     MFENCE = "mfence"
-
-
-@dataclass(frozen=True)
-class PersistConfig:
-    """A (model, flush, fence) point in the persistency design space."""
-
-    model: PersistencyModel = PersistencyModel.STRICT
-    flush: FlushKind = FlushKind.CLWB
-    fence: FenceKind = FenceKind.SFENCE
-    #: Writes per epoch under the EPOCH model (ignored otherwise).
-    epoch_size: int = 8
-
-    @property
-    def label(self) -> str:
-        """Human-readable configuration name (used in report series)."""
-        if self.model is PersistencyModel.EPOCH:
-            return f"{self.flush.value}+{self.fence.value}/epoch{self.epoch_size}"
-        return f"{self.flush.value}+{self.fence.value}/{self.model.value}"
-
-
-class Persister:
-    """Executes persistent writes on a core under one PersistConfig."""
-
-    def __init__(self, core: Core, config: PersistConfig) -> None:
-        """Wrap ``core`` so writes follow ``config``'s flush/fence rules."""
-        self.core = core
-        self.config = config
-        self.persisted_writes = 0
-
-    def write(self, addr: int, size: int = 8) -> None:
-        """One persistent write of ``size`` bytes at ``addr``.
-
-        Under nt-store the data bypasses the caches entirely; otherwise
-        a regular store is followed by the configured flush.  Under the
-        strict model a fence follows immediately; under the relaxed
-        model the caller fences via :meth:`epoch_end`.
-        """
-        self.persisted_writes += 1
-        if self.config.flush is FlushKind.NT_STORE:
-            self.core.nt_store(addr, size)
-        elif self.config.flush is FlushKind.NONE:
-            self.core.store(addr, size)  # eADR: the store is enough
-        else:
-            self.core.store(addr, size)
-            if self.config.flush is FlushKind.CLWB:
-                self.core.clwb(addr, size)
-            else:
-                self.core.clflushopt(addr, size)
-        if self.config.model is PersistencyModel.STRICT:
-            self.fence()
-        elif self.config.model is PersistencyModel.EPOCH:
-            if self.persisted_writes % max(self.config.epoch_size, 1) == 0:
-                self.fence()
-
-    def fence(self) -> None:
-        """Issue the configured fence."""
-        self.core.fence(self.config.fence.value)
-
-    def epoch_end(self) -> None:
-        """Order everything issued so far (relaxed-model epoch boundary).
-
-        Harmless (one extra fence) under the strict model.
-        """
-        self.fence()

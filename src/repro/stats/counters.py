@@ -101,30 +101,15 @@ class TelemetryCounters:
 
 
 @dataclass
-class TelemetryDelta:
+class TelemetryDelta(TelemetryCounters):
     """Difference between two :class:`TelemetryCounters` snapshots.
 
-    Provides the paper's derived metrics.  Ratios over a zero
-    denominator return 0.0 rather than raising: a benchmark region that
-    issued no reads simply has no read amplification to speak of.
+    Carries the same counter fields (declared once, on
+    :class:`TelemetryCounters`) and adds the paper's derived metrics.
+    Ratios over a zero denominator return 0.0 rather than raising: a
+    benchmark region that issued no reads simply has no read
+    amplification to speak of.
     """
-
-    imc_read_bytes: int = 0
-    imc_write_bytes: int = 0
-    media_read_bytes: int = 0
-    media_write_bytes: int = 0
-    demand_read_bytes: int = 0
-    demand_write_bytes: int = 0
-    read_buffer_hits: int = 0
-    read_buffer_misses: int = 0
-    write_buffer_hits: int = 0
-    write_buffer_misses: int = 0
-    write_buffer_evictions: int = 0
-    periodic_writebacks: int = 0
-    ait_hits: int = 0
-    ait_misses: int = 0
-    rmw_avoided: int = 0
-    underfill_reads: int = 0
 
     @staticmethod
     def _ratio(numerator: float, denominator: float) -> float:

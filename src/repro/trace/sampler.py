@@ -20,21 +20,14 @@ counter read racing a workload loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.common.errors import ConfigError
 from repro.sim.clock import Cycles
+from repro.stats.counters import TelemetryCounters
 
 #: Per-interval deltas of every TelemetryCounters field, in order.
-COUNTER_COLUMNS = (
-    "imc_read_bytes", "imc_write_bytes",
-    "media_read_bytes", "media_write_bytes",
-    "demand_read_bytes", "demand_write_bytes",
-    "read_buffer_hits", "read_buffer_misses",
-    "write_buffer_hits", "write_buffer_misses",
-    "write_buffer_evictions", "periodic_writebacks",
-    "ait_hits", "ait_misses", "rmw_avoided", "underfill_reads",
-)
+COUNTER_COLUMNS = tuple(field.name for field in fields(TelemetryCounters))
 
 #: Instantaneous state sampled alongside the counter deltas:
 #: buffer occupancies in XPLines, WPQ slots busy, the interval's AIT

@@ -2,28 +2,10 @@
 
 import pytest
 
-from repro.buffers.read_buffer import ReadBuffer
 from repro.buffers.write_buffer import WriteBuffer
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.dimm.config import OptaneDimmConfig
-
-
-class TestReadBufferPolicy:
-    def test_lru_hit_refreshes_position(self):
-        buffer = ReadBuffer(2 * 256, policy="lru")
-        buffer.install(1)
-        buffer.install(2)
-        buffer.deliver(1, 0)  # refresh under LRU
-        evicted = buffer.install(3)
-        assert evicted == 2  # 1 survived because the hit refreshed it
-
-    def test_fifo_default(self):
-        assert ReadBuffer(1024).policy == "fifo"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            ReadBuffer(1024, policy="clock")
 
 
 class TestWriteBufferEviction:
@@ -44,12 +26,9 @@ class TestWriteBufferEviction:
 class TestDimmConfigKnobs:
     def test_defaults_match_hardware(self):
         config = OptaneDimmConfig.g1()
-        assert config.read_buffer_policy == "fifo"
         assert config.write_buffer_eviction == "random"
         assert config.enable_transition
 
     def test_validation_rejects_bad_policies(self):
-        with pytest.raises(ConfigError):
-            OptaneDimmConfig.g1(read_buffer_policy="mru").validate()
         with pytest.raises(ConfigError):
             OptaneDimmConfig.g1(write_buffer_eviction="lru").validate()

@@ -8,8 +8,7 @@ from repro.common.constants import cacheline_index
 from repro.core.helper import HelperConfig, HelperThread
 from repro.core.trace_helper import ExtractedTrace, RecordingCore, extract_lookup_trace
 from repro.datastores.cceh import CcehHashTable
-from repro.persist import CrashSimulator, PersistConfig, Persister, PmHeap
-from repro.persist.persistency import FlushKind
+from repro.persist import CrashSimulator, PmHeap
 from repro.system.presets import g1_machine, g2_machine
 from repro.workloads import insert_only_stream
 
@@ -121,31 +120,3 @@ class TestEadr:
         before = machine.pm_counters().imc_write_bytes
         CrashSimulator(machine).power_failure(core.now)
         assert machine.pm_counters().imc_write_bytes > before
-
-    def test_flushless_persister(self):
-        machine = g2_machine(prefetchers=PrefetcherConfig.none(), eadr=True)
-        core = machine.new_core()
-        heap = PmHeap(machine)
-        persister = Persister(core, PersistConfig(flush=FlushKind.NONE))
-        persister.write(heap.pm.alloc(64), 8)
-        assert core.flushes == 0
-
-    def test_flushless_persist_much_cheaper(self):
-        machine = g2_machine(prefetchers=PrefetcherConfig.none(), eadr=True)
-        heap = PmHeap(machine)
-        addrs = [heap.pm.alloc(64) for _ in range(64)]
-        core = machine.new_core()
-        eadr_persister = Persister(core, PersistConfig(flush=FlushKind.NONE))
-        start = core.now
-        for addr in addrs:
-            eadr_persister.write(addr, 8)
-        eadr_cost = core.now - start
-
-        core2 = machine.new_core()
-        clwb_persister = Persister(core2, PersistConfig(flush=FlushKind.CLWB))
-        addrs2 = [heap.pm.alloc(64) for _ in range(64)]
-        start = core2.now
-        for addr in addrs2:
-            clwb_persister.write(addr, 8)
-        clwb_cost = core2.now - start
-        assert eadr_cost < clwb_cost / 2

@@ -7,7 +7,9 @@ report JSON::
     sha256(json.dumps([r.to_dict() for r in REGISTRY[name].run(g, "fast")],
                       sort_keys=True))
 
-It also holds perfbench's prefix digests (the SHA-256 of the simulated
+It also holds the same digest of each crash campaign (``crash-*``) per
+fault mode, over ``REGISTRY[name].run(g, "fast", fault_mode=mode)``, and
+perfbench's prefix digests (the SHA-256 of the simulated
 outputs of a workload's fixed prefix rounds, see ``perfbench/harness.py``)
 for two seeds, as ``harness.run(workload, seed, seconds=0,
 trace=False).digest``.
@@ -16,7 +18,8 @@ A refactor that claims not to change the model must keep every digest.
 The table changes only with a declared model change that names each
 moved digest and why; it is never regenerated to make a failure go
 away.  Experiments whose two generations run in under about 5 s
-together are checked in tier-1, the rest in tier-2 (``slow``).
+together are checked in tier-1, the rest in tier-2 (``slow``); of the
+crash campaigns, ``power-loss`` is tier-1 and the other modes ``slow``.
 """
 
 import hashlib
@@ -36,9 +39,9 @@ DIGESTS = GOLDEN["digests"]
 SLOW = {"fig6", "fig7", "fig8", "fig10", "fig12", "fig13", "fig14", "table1"}
 
 
-def report_digest(name: str, generation: int) -> str:
+def report_digest(name: str, generation: int, **overrides) -> str:
     """SHA-256 of one experiment's canonical fast-profile report JSON."""
-    reports = REGISTRY[name].run(generation, "fast")
+    reports = REGISTRY[name].run(generation, "fast", **overrides)
     canonical = json.dumps([report.to_dict() for report in reports], sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -57,6 +60,26 @@ def test_report_digest_is_unchanged(name, generation, expected):
     assert actual == expected, (
         f"{name} G{generation} fast-profile report changed: digest is now {actual}, "
         f"golden is {expected}"
+    )
+
+
+def _crash_cases():
+    for name, per_mode in GOLDEN["crash"].items():
+        for mode, per_generation in per_mode.items():
+            marks = [] if mode == "power-loss" else [pytest.mark.slow]
+            for key, expected in per_generation.items():
+                generation = int(key.removeprefix("g"))
+                yield pytest.param(
+                    name, mode, generation, expected, marks=marks, id=f"{name}-{mode}-{key}"
+                )
+
+
+@pytest.mark.parametrize("name,mode,generation,expected", list(_crash_cases()))
+def test_crash_campaign_digest_is_unchanged(name, mode, generation, expected):
+    actual = report_digest(name, generation, fault_mode=mode)
+    assert actual == expected, (
+        f"{name} {mode} G{generation} fast-profile report changed: digest is now "
+        f"{actual}, golden is {expected}"
     )
 
 

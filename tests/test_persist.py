@@ -1,4 +1,4 @@
-"""Tests for persistency models and redo logging."""
+"""Tests for redo logging."""
 
 import pytest
 
@@ -6,90 +6,12 @@ from repro.cache.prefetch import PrefetcherConfig
 from repro.common.errors import DataStoreError
 from repro.persist.allocator import PmHeap
 from repro.persist.log import RedoLog
-from repro.persist.persistency import (
-    FenceKind,
-    FlushKind,
-    PersistConfig,
-    PersistencyModel,
-    Persister,
-)
 from repro.system.presets import g1_machine
 
 
 def setup():
     machine = g1_machine(prefetchers=PrefetcherConfig.none())
     return machine, machine.new_core(), PmHeap(machine)
-
-
-class TestPersister:
-    def test_strict_clwb_write_flushes_and_fences(self):
-        machine, core, heap = setup()
-        addr = heap.pm.alloc(64)
-        persister = Persister(core, PersistConfig())
-        persister.write(addr, 8)
-        assert core.flushes == 1
-        assert core.fences == 1
-        assert machine.pm_counters().imc_write_bytes == 64
-
-    def test_relaxed_defers_fence(self):
-        machine, core, heap = setup()
-        persister = Persister(core, PersistConfig(model=PersistencyModel.RELAXED))
-        for index in range(4):
-            persister.write(heap.pm.alloc(64), 8)
-        assert core.fences == 0
-        persister.epoch_end()
-        assert core.fences == 1
-
-    def test_nt_store_variant_bypasses_cache(self):
-        machine, core, heap = setup()
-        addr = heap.pm.alloc(64)
-        persister = Persister(core, PersistConfig(flush=FlushKind.NT_STORE))
-        persister.write(addr, 64)
-        assert core.flushes == 0
-        assert machine.pm_counters().imc_write_bytes == 64
-
-    def test_clflushopt_variant(self):
-        machine, core, heap = setup()
-        addr = heap.pm.alloc(64)
-        persister = Persister(core, PersistConfig(flush=FlushKind.CLFLUSHOPT))
-        persister.write(addr, 8)
-        assert core.flushes == 1
-
-    def test_mfence_variant(self):
-        machine, core, heap = setup()
-        addr = heap.pm.alloc(64)
-        persister = Persister(core, PersistConfig(fence=FenceKind.MFENCE))
-        persister.write(addr, 8)
-        assert core.last_fence == "mfence"
-
-    def test_relaxed_cheaper_than_strict(self):
-        machine, core, heap = setup()
-        addrs = [heap.pm.alloc(64) for _ in range(32)]
-        strict = Persister(core, PersistConfig())
-        start = core.now
-        for addr in addrs:
-            strict.write(addr, 8)
-        strict_cost = core.now - start
-
-        machine2, core2, heap2 = setup()
-        addrs2 = [heap2.pm.alloc(64) for _ in range(32)]
-        relaxed = Persister(core2, PersistConfig(model=PersistencyModel.RELAXED))
-        start = core2.now
-        for addr in addrs2:
-            relaxed.write(addr, 8)
-        relaxed.epoch_end()
-        relaxed_cost = core2.now - start
-        assert relaxed_cost < strict_cost
-
-    def test_label(self):
-        config = PersistConfig(PersistencyModel.RELAXED, FlushKind.NT_STORE, FenceKind.MFENCE)
-        assert config.label == "nt-store+mfence/relaxed"
-
-    def test_write_counter(self):
-        machine, core, heap = setup()
-        persister = Persister(core, PersistConfig())
-        persister.write(heap.pm.alloc(64), 8)
-        assert persister.persisted_writes == 1
 
 
 class TestRedoLog:

@@ -1,13 +1,11 @@
-"""Tests for the persistent lock and the epoch persistency model."""
+"""Tests for the persistent lock."""
 
 import pytest
 
 from repro.cache.prefetch import PrefetcherConfig
 from repro.common.errors import DataStoreError
 from repro.datastores.pmlock import PersistentLock, measure_handover
-from repro.persist import PersistConfig, Persister, PmHeap
 from repro.persist.allocator import RegionAllocator
-from repro.persist.persistency import PersistencyModel
 from repro.system.presets import g1_machine, g2_machine
 
 
@@ -74,41 +72,3 @@ class TestPersistentLock:
             remote_lock, [machine.new_core("c"), machine.new_core("d")], rounds=50
         )
         assert remote > local
-
-
-class TestEpochPersistency:
-    def test_epoch_fences_every_n_writes(self):
-        machine, allocator = setup()
-        core = machine.new_core()
-        persister = Persister(
-            core, PersistConfig(model=PersistencyModel.EPOCH, epoch_size=4)
-        )
-        for _ in range(12):
-            persister.write(allocator.alloc(64), 8)
-        assert core.fences == 3
-
-    def test_epoch_between_strict_and_relaxed(self):
-        results = {}
-        for model, epoch in (
-            (PersistencyModel.STRICT, 1),
-            (PersistencyModel.EPOCH, 8),
-            (PersistencyModel.RELAXED, 0),
-        ):
-            machine, allocator = setup()
-            core = machine.new_core()
-            persister = Persister(core, PersistConfig(model=model, epoch_size=epoch))
-            addrs = [allocator.alloc(64) for _ in range(64)]
-            start = core.now
-            for addr in addrs:
-                persister.write(addr, 8)
-            persister.epoch_end()
-            results[model] = core.now - start
-        assert (
-            results[PersistencyModel.RELAXED]
-            < results[PersistencyModel.EPOCH]
-            < results[PersistencyModel.STRICT]
-        )
-
-    def test_epoch_label(self):
-        config = PersistConfig(model=PersistencyModel.EPOCH, epoch_size=16)
-        assert "epoch16" in config.label
