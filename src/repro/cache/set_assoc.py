@@ -8,11 +8,17 @@ Each set is an :class:`collections.OrderedDict` mapping line index to
 dirty flag; insertion order doubles as LRU order (``move_to_end`` on
 touch, ``popitem(last=False)`` to evict), which keeps the hot path in
 C-implemented dict operations.
+
+Sets are created on first touch (a ``defaultdict`` keyed by set
+index), so building a cache costs nothing per set and the whole-cache
+walks (``resident_lines``, ``dirty_lines``, ``clear``) cost only the
+sets an experiment touched.  ``dirty_lines`` reports lines in
+ascending set-index order, then LRU order within a set.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
@@ -67,7 +73,7 @@ class SetAssociativeCache:
         self.config = config
         self._n_sets = config.n_sets
         self._ways = config.ways
-        self._sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(self._n_sets)]
+        self._sets: defaultdict[int, OrderedDict[int, bool]] = defaultdict(OrderedDict)
         self.hits = 0
         self.misses = 0
 
@@ -140,18 +146,20 @@ class SetAssociativeCache:
     @property
     def resident_lines(self) -> int:
         """Total lines currently cached across all sets."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def dirty_lines(self) -> list[int]:
-        """All resident dirty line indexes (crash-analysis support)."""
+        """All resident dirty line indexes (crash-analysis support).
+
+        Ascending set index, then LRU order within a set.
+        """
         return [
             line
-            for cache_set in self._sets
+            for _, cache_set in sorted(self._sets.items())
             for line, dirty in cache_set.items()
             if dirty
         ]
 
     def clear(self) -> None:
         """Empty the cache (statistics retained)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()

@@ -31,9 +31,10 @@ class ServiceGrant:
 class ServicePorts:
     """N identical servers with per-request service times.
 
-    The busy-until list is kept small (N is single digits to a few
-    dozen), so a linear scan for the earliest-free port is fine and
-    keeps the code obvious.
+    A request goes to the earliest-free port: the first index holding
+    the minimum of the busy-until list, so among equally free ports the
+    lowest index wins.  N is single digits to a few dozen, so the pick
+    is two C-level linear scans (``min`` then ``list.index``).
     """
 
     def __init__(self, ports: int, name: str = "ports") -> None:
@@ -63,7 +64,7 @@ class ServicePorts:
         """
         if service_time < 0:
             raise ConfigError(f"{self.name}: negative service time {service_time}")
-        index = min(range(len(self._busy_until)), key=self._busy_until.__getitem__)
+        index = self._busy_until.index(min(self._busy_until))
         start = max(now, self._busy_until[index])
         finish = start + service_time
         self._busy_until[index] = finish

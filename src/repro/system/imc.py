@@ -95,7 +95,7 @@ class IMCChannel:
         the in-flight tracker.
         """
         self.writes_issued += 1
-        index = min(range(len(self._wpq_busy)), key=self._wpq_busy.__getitem__)
+        index = self._wpq_busy.index(min(self._wpq_busy))
         issue_ready = max(now, self._wpq_busy[index])
         acceptance = issue_ready + self.accept_latency
         prior = self.inflight.completion_for(cacheline_index(addr), now)

@@ -1,11 +1,13 @@
 """Tests for the set-associative cache and the 3-level hierarchy."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy, CacheHierarchyConfig
-from repro.cache.set_assoc import CacheLevelConfig, SetAssociativeCache
+from repro.cache.set_assoc import CacheLevelConfig, Eviction, SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.common.units import kib, mib
 
@@ -113,6 +115,134 @@ def test_capacity_never_exceeded(lines):
     for line in lines:
         cache.fill(line)
         assert cache.resident_lines <= 8
+
+
+class EagerReferenceCache:
+    """Reference model: one OrderedDict per set, all built up front."""
+
+    def __init__(self, n_sets, ways):
+        self.sets = [OrderedDict() for _ in range(n_sets)]
+        self.ways = ways
+        self.hits = 0
+        self.misses = 0
+
+    def _set(self, line):
+        return self.sets[line % len(self.sets)]
+
+    def lookup(self, line):
+        s = self._set(line)
+        if line in s:
+            s.move_to_end(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def probe(self, line):
+        return line in self._set(line)
+
+    def fill(self, line, dirty):
+        s = self._set(line)
+        if line in s:
+            s[line] = s[line] or dirty
+            s.move_to_end(line)
+            return None
+        s[line] = dirty
+        if len(s) > self.ways:
+            return Eviction(*s.popitem(last=False))
+        return None
+
+    def invalidate(self, line):
+        dirty = self._set(line).pop(line, None)
+        return (False, False) if dirty is None else (True, dirty)
+
+    def clean(self, line):
+        s = self._set(line)
+        if line in s:
+            was_dirty, s[line] = s[line], False
+            return was_dirty
+        return False
+
+    def set_dirty(self, line):
+        s = self._set(line)
+        if line in s:
+            s[line] = True
+            return True
+        return False
+
+    def is_dirty(self, line):
+        return bool(self._set(line).get(line, False))
+
+    @property
+    def resident_lines(self):
+        return sum(len(s) for s in self.sets)
+
+    def dirty_lines(self):
+        return [line for s in self.sets for line, dirty in s.items() if dirty]
+
+    def clear(self):
+        for s in self.sets:
+            s.clear()
+
+
+CACHE_OPS = ("lookup", "probe", "fill", "invalidate", "clean", "set_dirty", "is_dirty", "clear")
+
+
+def _apply(cache, op, line, dirty):
+    if op == "fill":
+        return cache.fill(line, dirty)
+    if op == "clear":
+        return cache.clear()
+    return getattr(cache, op)(line)
+
+
+def _assert_same_state(cache, reference):
+    assert cache.hits == reference.hits
+    assert cache.misses == reference.misses
+    assert cache.resident_lines == reference.resident_lines
+    assert cache.dirty_lines() == reference.dirty_lines()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_sets=st.integers(1, 4),
+    ways=st.integers(1, 3),
+    ops=st.lists(
+        st.tuples(st.sampled_from(CACHE_OPS), st.integers(0, 23), st.booleans()),
+        min_size=10,
+        max_size=120,
+    ),
+)
+def test_lazy_sets_match_eager_reference(n_sets, ways, ops):
+    """Sets created on first touch behave exactly like a pre-built list."""
+    cache = SetAssociativeCache(CacheLevelConfig("t", n_sets * ways * 64, ways, 1.0))
+    reference = EagerReferenceCache(n_sets, ways)
+    for op, line, dirty in ops:
+        assert _apply(cache, op, line, dirty) == _apply(reference, op, line, dirty)
+        _assert_same_state(cache, reference)
+
+
+def test_dirty_lines_in_set_index_order():
+    # Sets touched in descending order still report in ascending set order.
+    cache = small_cache(size=4 * 2 * 64, ways=2)  # 4 sets
+    for line in (7, 3, 6, 2, 5, 1, 4, 0):
+        cache.fill(line, dirty=True)
+    assert cache.dirty_lines() == [4, 0, 5, 1, 6, 2, 7, 3]
+
+
+def test_clear_empties_and_keeps_statistics():
+    cache = small_cache(size=4 * 2 * 64, ways=2)
+    for line in range(6):
+        cache.fill(line, dirty=line % 2 == 0)
+    cache.lookup(0)
+    cache.lookup(99)
+    cache.clear()
+    assert cache.resident_lines == 0
+    assert cache.dirty_lines() == []
+    assert not cache.probe(0)
+    assert (cache.hits, cache.misses) == (1, 1)
+    cache.fill(0, dirty=True)
+    assert cache.dirty_lines() == [0]
 
 
 def hier():

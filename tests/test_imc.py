@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.dimm.config import OptaneDimmConfig
-from repro.dimm.optane import OptaneDimm
+from repro.dimm.optane import OptaneDimm, WriteResponse
 from repro.stats.counters import TelemetryCounters
 from repro.system.imc import IMCChannel
 
@@ -43,6 +43,41 @@ class TestWpqBasics:
         channel.write(0.0, 0)
         assert channel.wpq_occupancy(0.0) == 1
         assert channel.wpq_occupancy(1e9) == 0
+
+
+class FixedIngestDevice:
+    """Device stub whose ingest takes a scripted time per write."""
+
+    def __init__(self, ingest_times):
+        self._ingest_times = iter(ingest_times)
+
+    def ingest_write(self, now, addr):
+        finish = now + next(self._ingest_times)
+        return WriteResponse(ingest_finish=finish, persist_completion=finish + 1000.0)
+
+
+class TestWpqSlotPick:
+    def test_equal_now_fills_slots_in_index_order(self):
+        # Which of several equally free slots is taken does not show in
+        # the grant times, so the WPQ busy-until list is checked directly.
+        ingest = [100.0, 100.0, 100.0, 50.0, 70.0, 10.0, 5.0, 5.0]
+        channel = IMCChannel(FixedIngestDevice(ingest), wpq_slots=3, accept_latency=60.0)
+        expected = [
+            # (issue_ready, WPQ busy-until after the write)
+            (0.0, [160.0, 0.0, 0.0]),
+            (0.0, [160.0, 160.0, 0.0]),
+            (0.0, [160.0, 160.0, 160.0]),
+            (160.0, [270.0, 160.0, 160.0]),
+            (160.0, [270.0, 290.0, 160.0]),
+            (160.0, [270.0, 290.0, 230.0]),
+            (230.0, [270.0, 290.0, 295.0]),
+            (270.0, [335.0, 290.0, 295.0]),
+        ]
+        for index, (issue_ready, busy) in enumerate(expected):
+            grant = channel.write(0.0, index * 4096)
+            assert grant.issue_ready == issue_ready
+            assert grant.acceptance == issue_ready + 60.0
+            assert channel._wpq_busy == busy
 
 
 class TestBackPressure:

@@ -62,6 +62,37 @@ class TestServicePorts:
         assert ports.earliest_start(0) == 100
         assert ports.earliest_start(300) == 300
 
+    def test_ties_go_to_lowest_index(self):
+        # All idle at 0, then every port equally busy: each round of
+        # grants walks the ports from index 0 upwards.  Which of several
+        # equally free ports is taken does not show in the grant times,
+        # so the busy-until list is checked directly.
+        ports = ServicePorts(3)
+        expected = [
+            # (service, start, finish, busy-until after the grant)
+            (100, 0, 100, [100, 0, 0]),
+            (100, 0, 100, [100, 100, 0]),
+            (100, 0, 100, [100, 100, 100]),
+            (50, 100, 150, [150, 100, 100]),
+            (70, 100, 170, [150, 170, 100]),
+            (10, 100, 110, [150, 170, 110]),
+            (5, 110, 115, [150, 170, 115]),
+        ]
+        for service, start, finish, busy in expected:
+            grant = ports.acquire(0, service)
+            assert (grant.start, grant.finish) == (start, finish)
+            assert ports._busy_until == busy
+
+    def test_earliest_free_port_even_when_all_are_free(self):
+        # The pick is the port that freed earliest, not the lowest index
+        # among ports already free at ``now``.
+        ports = ServicePorts(3)
+        for service in (30, 10, 20):
+            ports.acquire(0, service)
+        grant = ports.acquire(500, 1)
+        assert (grant.start, grant.finish) == (500, 501)
+        assert ports._busy_until == [30, 501, 20]
+
     def test_rejects_zero_ports(self):
         with pytest.raises(ConfigError):
             ServicePorts(0)
