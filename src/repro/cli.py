@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--generation", "-g", type=int, default=None, choices=(1, 2),
-        help="restrict to one generation (default: both; mutation mode "
-             "defaults to G1 only)",
+        help="restrict to one generation (default: both; a mutation "
+             "runs only the generations its expected failures name)",
     )
     validate.add_argument("--profile", "-p", default="fast", choices=("fast", "full"))
     validate.add_argument(
@@ -351,12 +351,7 @@ def _validate_command(args) -> int:
         print(f"[{len(claims)} claims]")
         return 0
 
-    if args.generation is not None:
-        generations = (args.generation,)
-    elif args.expect_fail is not None:
-        generations = (1,)  # mutations are calibrated against G1 sweeps
-    else:
-        generations = (1, 2)
+    generations = (args.generation,) if args.generation else (1, 2)
     cache = ResultCache(args.cache_dir) if args.cache and not args.expect_fail else None
 
     def progress(verdict) -> None:

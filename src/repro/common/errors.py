@@ -20,10 +20,6 @@ class AddressError(ReproError):
     """An access targeted an address outside any mapped region."""
 
 
-class AlignmentError(AddressError):
-    """An access violated a required alignment (cacheline / XPLine)."""
-
-
 class AllocationError(ReproError):
     """The persistent-memory allocator ran out of space or was misused."""
 

@@ -5,19 +5,7 @@ redo logging, XPLine access redirection)."""
 
 from repro.core.analysis import InstrumentedCore, read_write_summary
 from repro.core.helper import HelperConfig, HelperThread
-from repro.core.inference import (
-    DeviceProfile,
-    RapProfile,
-    characterize,
-    infer_periodic_writeback,
-    infer_read_buffer_capacity,
-    infer_write_buffer_capacity,
-    infer_write_buffer_eviction,
-    profile_rap,
-    quiet_factory,
-)
 from repro.core.redirection import RedirectionBuffer, redirect_block, writeback_block
-from repro.core.trace_helper import ExtractedTrace, RecordingCore, extract_lookup_trace
 
 __all__ = [
     "InstrumentedCore",
@@ -27,16 +15,4 @@ __all__ = [
     "RedirectionBuffer",
     "redirect_block",
     "writeback_block",
-    "ExtractedTrace",
-    "RecordingCore",
-    "extract_lookup_trace",
-    "DeviceProfile",
-    "RapProfile",
-    "characterize",
-    "infer_periodic_writeback",
-    "infer_read_buffer_capacity",
-    "infer_write_buffer_capacity",
-    "infer_write_buffer_eviction",
-    "profile_rap",
-    "quiet_factory",
 ]

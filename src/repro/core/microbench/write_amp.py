@@ -31,11 +31,6 @@ class WriteAmplificationResult:
     write_amplification: float
     theoretical_max: float
 
-    @property
-    def write_percent(self) -> int:
-        """Written fraction as the paper labels it (25/50/75/100)."""
-        return self.written_cachelines * 25
-
 
 def run_write_amplification(
     machine: Machine,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
+from repro.common.constants import CACHELINE_SIZE
 
 #: Buckets per segment (paper: 256 cacheline-sized buckets).
 SEGMENT_BUCKETS = 256
@@ -35,11 +35,6 @@ class Segment:
         default_factory=lambda: [[] for _ in range(SEGMENT_BUCKETS)]
     )
 
-    @property
-    def metadata_addr(self) -> int:
-        """Address of the segment header — the expensive random read."""
-        return self.base_addr
-
     def bucket_addr(self, index: int) -> int:
         """Address of bucket ``index``'s cacheline."""
         return self.base_addr + CACHELINE_SIZE + index * CACHELINE_SIZE
@@ -60,7 +55,3 @@ class Segment:
     def probe_buckets(self, home: int) -> list[int]:
         """The linear-probing window starting at bucket ``home``."""
         return [(home + step) % SEGMENT_BUCKETS for step in range(PROBE_DISTANCE)]
-
-    def xplines_spanned(self) -> int:
-        """How many XPLines the segment occupies (layout sanity checks)."""
-        return (SEGMENT_BYTES + XPLINE_SIZE - 1) // XPLINE_SIZE

@@ -73,11 +73,6 @@ class RegionAllocator:
         """Live allocation footprint."""
         return self.allocated_bytes - self.freed_bytes
 
-    @property
-    def high_water_mark(self) -> int:
-        """One past the highest address ever handed out."""
-        return self._cursor
-
 
 class PmHeap:
     """Paired PM and DRAM allocators, as persistent programs use them.

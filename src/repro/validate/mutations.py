@@ -55,7 +55,8 @@ MUTATIONS: dict[str, Mutation] = {
             "read_buffer", "off",
             "shrink the read buffer to a single XPLine (effectively no buffer)",
             {"optane": {"read_buffer_bytes": XPLINE_SIZE}},
-            ("E1/ra-plateau-*", "E1/knee-*"),
+            ("E1/ra-plateau-cpx4", "E1/ra-plateau-cpx3", "E1/ra-plateau-cpx2",
+             "E1/knee-g1"),
         ),
         Mutation(
             "write_buffer", "off",
@@ -86,6 +87,31 @@ MUTATIONS: dict[str, Mutation] = {
             "disable the read-to-write buffer transition (S3.3)",
             {"optane": {"enable_transition": False}},
             ("S33/rmw-avoided", "S33/media-below-imc"),
+        ),
+        Mutation(
+            "persist_drain", "instant",
+            "make DDR-T persists synchronous: no asynchronous drain for a load "
+            "to stall on (S3.5)",
+            {"optane": {"persist_drain_latency": 0.0}},
+            # Every G1 RAP shape and both generations' near/far gaps go;
+            # the claims the flip leaves passing are its controls.
+            ("E5/mfence-peak", "E5/rap-decay", "E5/amortizes-by-halves",
+             "E5/sfence-window", "E5/remote-elevated", "E5/near-far-gap",
+             "E5/nt-near-far-gap", "E5/g2-nt-still-pays", "E5/g2-nt-near-far-gap"),
+        ),
+        Mutation(
+            "sfence_rap_overlap", "full",
+            "let sfence ordering hide the whole RAP stall",
+            {"timing": {"sfence_rap_overlap": 1.0}},
+            ("E5/sfence-window",),
+        ),
+        Mutation(
+            "sfence_reorder_window", "1",
+            "let a load overtake only the latest flush under sfence ordering",
+            # The core clamps the window to at least one flush, so 1 is
+            # the narrowest window a machine can have.
+            {"timing": {"sfence_reorder_window": 1}},
+            ("E5/sfence-window-d1",),
         ),
     )
 }

@@ -9,8 +9,8 @@ every claim against the resulting reports into a
 :class:`~repro.validate.report.FidelityReport`.
 
 In mutation-smoke mode (``mutation="knob=value"``) the run is scoped
-to the experiments the mutation's expected failures touch, executed
-serially, uncached, inside
+to the ``(experiment, generation)`` pairs the mutation's expected
+failures touch, executed serially, uncached, inside
 :func:`repro.system.presets.preset_overrides` — mutated results must
 never pollute the cache, and pool workers would not see the ambient
 override.
@@ -69,10 +69,10 @@ def validate(
 
     ``experiments=None`` means every experiment with registered
     claims.  ``mutation`` switches to mutation-smoke mode: the named
-    knob is flipped, scope narrows to the experiments the mutation's
-    expected failures belong to (their other claims ride along as
-    collateral-damage controls), and the report's ``ok()`` demands the
-    failure set match the expectation exactly.  ``progress`` is called
+    knob is flipped, scope narrows to the ``(experiment, generation)``
+    pairs the mutation's expected failures belong to (their other
+    claims ride along as collateral-damage controls), and the report's
+    ``ok()`` demands the failure set match the expectation exactly.  ``progress`` is called
     once per verdict as claims are evaluated.
     """
     claims = select_claims(experiments, generations, profile)
@@ -82,8 +82,10 @@ def validate(
     if mutation is not None:
         resolved = parse_mutation(mutation)
         expected = resolve_expected(resolved, [claim.id for claim in claims])
-        affected = {claim.experiment for claim in claims if claim.id in set(expected)}
-        claims = [claim for claim in claims if claim.experiment in affected]
+        affected = {(claim.experiment, claim.generation)
+                    for claim in claims if claim.id in set(expected)}
+        claims = [claim for claim in claims
+                  if (claim.experiment, claim.generation) in affected]
         fidelity.mutation = resolved.spec
         fidelity.expected_failures = expected
         overrides = resolved.overrides

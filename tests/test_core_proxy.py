@@ -1,15 +1,14 @@
 """Every core stand-in exposes the whole Core API, and wrappers are transparent.
 
-``NullCore`` / ``RecordingCore`` must accept every op a data store may
-issue, and each ``CoreProxy`` subclass (``InstrumentedCore``,
-``HookedCore``, ``trace_core(...)``) must leave the wrapped core's clock
-and op counters exactly where a bare ``Core`` would be.
+``NullCore`` must accept every op a data store may issue, and each
+``CoreProxy`` subclass (``InstrumentedCore``, ``HookedCore``,
+``trace_core(...)``) must leave the wrapped core's clock and op
+counters exactly where a bare ``Core`` would be.
 """
 
 import pytest
 
 from repro.core.analysis import InstrumentedCore
-from repro.core.trace_helper import RecordingCore
 from repro.datastores.base import OP_CLASSES, CoreProxy, NullCore
 from repro.faults.hooks import EventTap, HookedCore
 from repro.persist.allocator import PmHeap
@@ -23,7 +22,7 @@ CORE_OPS = (
     "sfence", "mfence", "fence", "persist", "tick",
 )
 
-STANDALONE = {"NullCore": NullCore, "RecordingCore": RecordingCore}
+STANDALONE = {"NullCore": NullCore}
 
 WRAPPERS = {
     "CoreProxy": CoreProxy,
@@ -84,12 +83,6 @@ def test_zero_cost_cores_accept_the_full_sequence(name):
     core = STANDALONE[name]()
     _run_sequence(core, 1 << 40)
     assert core.now == 0.0
-
-
-def test_recording_core_records_loads_only():
-    core = RecordingCore()
-    _run_sequence(core, 0)
-    assert core.load_trace == [(256, 128), (384, 64), (0, 8)]
 
 
 @pytest.mark.parametrize("generation", [1, 2])

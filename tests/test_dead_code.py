@@ -12,14 +12,24 @@ re-exports:
 
 A name counts as referenced when it is loaded as an expression or
 used in a quoted annotation.
+
+A third rule spans the repository: every public top-level function or
+class, and every public method of a top-level class, is named somewhere
+in ``src/``, ``tests/``, ``examples/`` or ``perfbench/`` besides its
+own definition and package ``__init__`` re-exports.  Naming is a word
+match over the source text, so string constants (``getattr`` names,
+op tables) and docstrings count.
 """
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
 
@@ -90,3 +100,49 @@ def test_every_private_top_level_def_is_used():
             if name.startswith("_") and not name.startswith("__") and name not in used:
                 dead.append(f"{_rel(path)}:{node.lineno} {name}")
     assert not dead, "unreferenced private top-level defs: " + ", ".join(dead)
+
+
+def _public_defs(tree: ast.Module):
+    """Yield (name, line) for public top-level defs and public methods."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield item.name, item.lineno
+
+
+def _word_counts(path: pathlib.Path) -> Counter:
+    """Words in a source file; package ``__init__`` re-exports are left out."""
+    text = path.read_text()
+    if path.name == "__init__.py":
+        lines = text.splitlines(keepends=True)
+        reexports = set()
+        for node in _parse(path).body:
+            is_all = isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            )
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or is_all:
+                reexports.update(range(node.lineno - 1, node.end_lineno))
+        text = "".join(line for index, line in enumerate(lines) if index not in reexports)
+    return Counter(re.findall(r"\w+", text))
+
+
+def test_every_public_def_is_named_outside_its_definition():
+    words: Counter = Counter()
+    for tree_root in ("src", "tests", "examples", "perfbench"):
+        for path in (ROOT / tree_root).rglob("*.py"):
+            words += _word_counts(path)
+    defined: Counter = Counter()
+    sites: list[tuple[str, str]] = []
+    for path in sorted(SRC.rglob("*.py")):
+        for name, line in _public_defs(_parse(path)):
+            defined[name] += 1
+            sites.append((name, f"{_rel(path)}:{line}"))
+    dead = [f"{site} {name}" for name, site in sites if words[name] <= defined[name]]
+    assert not dead, "public defs named nowhere but their definition: " + ", ".join(dead)

@@ -329,12 +329,18 @@ class TestMutations:
 
     def test_overrides_reference_real_config_fields(self):
         from repro.dimm.config import OptaneDimmConfig
+        from repro.system.machine import CoreTiming
         import dataclasses
 
-        fields = {f.name for f in dataclasses.fields(OptaneDimmConfig)}
+        fields = {
+            section: {f.name for f in dataclasses.fields(config)}
+            for section, config in (("optane", OptaneDimmConfig), ("timing", CoreTiming))
+        }
         for mutation in MUTATIONS.values():
-            for key in mutation.overrides.get("optane", {}):
-                assert key in fields, f"{mutation.spec}: {key}"
+            assert set(mutation.overrides) <= set(fields), mutation.spec
+            for section, overrides in mutation.overrides.items():
+                for key in overrides:
+                    assert key in fields[section], f"{mutation.spec}: {section}.{key}"
 
 
 class TestLiveValidation:
@@ -359,6 +365,15 @@ class TestLiveValidation:
         assert fidelity.mutation == "transition=off"
         assert fidelity.ok(), fidelity.render()
         assert {v.claim_id for v in fidelity.failed} == set(fidelity.expected_failures)
+
+    @pytest.mark.slow
+    def test_rap_mutation_smoke(self):
+        """A read-after-persist mutation: fig7 G1 under sfence_rap_overlap=full."""
+        fidelity = validate(mutation="sfence_rap_overlap=full", jobs=4, cache=None)
+        assert fidelity.mutation == "sfence_rap_overlap=full"
+        assert fidelity.ok(), fidelity.render()
+        assert [v.claim_id for v in fidelity.failed] == ["E5/sfence-window"]
+        assert {v.generation for v in fidelity.verdicts} == {1}
 
     @pytest.mark.campaign
     def test_full_fast_profile_validation(self):
