@@ -64,7 +64,6 @@ class HelperThread:
         self.core = machine.new_core(name)
         self._next_index = 0
         self.items_prefetched = 0
-        self.helper_ops = 0
 
     def sync_before(self, worker: Core, items: Sequence[WorkItem], worker_index: int) -> None:
         """Bring the helper ``depth`` items ahead of ``worker_index``.
@@ -81,10 +80,7 @@ class HelperThread:
             # The helper cannot act before the worker reaches "now".
             if self.core.now < worker.now:
                 self.core.now = worker.now
-            ops_before = self.core.loads
             self.trace(self.core, items[self._next_index])
-            ops_done = self.core.loads - ops_before
-            self.helper_ops += ops_done
             self.items_prefetched += 1
             worker.now += self.config.smt_overhead
             self._next_index += 1
@@ -93,4 +89,3 @@ class HelperThread:
         """Restart the run-ahead cursor (e.g. for a new key stream)."""
         self._next_index = 0
         self.items_prefetched = 0
-        self.helper_ops = 0

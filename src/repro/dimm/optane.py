@@ -66,10 +66,9 @@ class OptaneDimm:
         self.config = config
         self.name = name
         self.counters = counters
-        #: Tracer handle + track label, installed by an ambient trace
+        #: The machine's trace handle, installed by an ambient trace
         #: session (None ⇒ tracing off, see repro.trace.session).
-        self.tracer = None
-        self.trace_track: str | None = None
+        self.trace = None
         self.media = XPointMedia(config.media, counters, name=f"{name}.media")
         self.read_buffer = ReadBuffer(config.read_buffer_bytes, name=f"{name}.rbuf")
         self.write_buffer = WriteBuffer(
@@ -92,13 +91,12 @@ class OptaneDimm:
 
         xpline = xpline_index(addr)
         slot = cacheline_slot_in_xpline(addr)
-        tracer = self.tracer
-        track = self.trace_track or self.name
+        trace = self.trace
 
         if self.write_buffer.servable(xpline, slot):
             self.counters.read_buffer_hits += 1
-            if tracer is not None and tracer.wants("wbuf"):
-                tracer.instant("wbuf", "read-hit", now, track, addr=addr)
+            if trace is not None:
+                trace.instant("wbuf", "read-hit", now, self.name, addr=addr)
             return ReadResponse(now + self.config.buffer_read_latency, "write-buffer")
 
         if self.write_buffer.contains(xpline):
@@ -109,29 +107,23 @@ class OptaneDimm:
             self.counters.underfill_reads += 1
             grant = self.media.read_xpline(now, addr)
             self.write_buffer.fill_from_media(xpline)
-            if tracer is not None:
-                if tracer.wants("wbuf"):
-                    tracer.instant("wbuf", "underfill-fill", now, track, addr=addr)
-                if tracer.wants("media"):
-                    tracer.span("media", "read-xpline", now, grant.finish,
-                                track, addr=addr)
+            if trace is not None:
+                trace.instant("wbuf", "underfill-fill", now, self.name, addr=addr)
+                trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
             return ReadResponse(grant.finish + self.config.transfer_latency, "write-buffer-fill")
 
         if self.read_buffer.deliver(xpline, slot):
             self.counters.read_buffer_hits += 1
-            if tracer is not None and tracer.wants("rbuf"):
-                tracer.instant("rbuf", "hit", now, track, addr=addr)
+            if trace is not None:
+                trace.instant("rbuf", "hit", now, self.name, addr=addr)
             return ReadResponse(now + self.config.buffer_read_latency, "read-buffer")
 
         self.counters.read_buffer_misses += 1
         grant = self.media.read_xpline(now, addr)
         self.read_buffer.install(xpline, consumed_slots=(slot,))
-        if tracer is not None:
-            if tracer.wants("rbuf"):
-                tracer.instant("rbuf", "miss", now, track, addr=addr)
-            if tracer.wants("media"):
-                tracer.span("media", "read-xpline", now, grant.finish,
-                            track, addr=addr)
+        if trace is not None:
+            trace.instant("rbuf", "miss", now, self.name, addr=addr)
+            trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
         return ReadResponse(grant.finish + self.config.transfer_latency, "media")
 
     # -- write path ----------------------------------------------------------
@@ -141,15 +133,10 @@ class OptaneDimm:
         self.counters.imc_write_bytes += CACHELINE_SIZE
         xpline = xpline_index(addr)
         slot = cacheline_slot_in_xpline(addr)
-
-        tracer = self.tracer
-        wants_wbuf = tracer is not None and tracer.wants("wbuf")
-        track = self.trace_track or self.name
         if self.write_buffer.contains(xpline):
             outcome = self.write_buffer.write(now, xpline, slot)
             self.counters.write_buffer_hits += 1
-            if wants_wbuf:
-                tracer.instant("wbuf", "hit", now, track, addr=addr)
+            event = "hit"
         elif self.config.enable_transition and self.read_buffer.contains(xpline):
             # §3.3: the XPLine transitions from the read buffer to the
             # write buffer; its media contents come along, so no
@@ -158,13 +145,13 @@ class OptaneDimm:
             outcome = self.write_buffer.adopt_from_read_buffer(now, xpline, slot)
             self.counters.write_buffer_misses += 1
             self.counters.rmw_avoided += 1
-            if wants_wbuf:
-                tracer.instant("wbuf", "transition", now, track, addr=addr)
+            event = "transition"
         else:
             outcome = self.write_buffer.write(now, xpline, slot)
             self.counters.write_buffer_misses += 1
-            if wants_wbuf:
-                tracer.instant("wbuf", "miss", now, track, addr=addr)
+            event = "miss"
+        if self.trace is not None:
+            self.trace.instant("wbuf", event, now, self.name, addr=addr)
 
         ingest_finish = now + self.config.ingest_latency
         for writeback in outcome.writebacks:
@@ -210,11 +197,9 @@ class OptaneDimm:
             self.counters.periodic_writebacks += 1
         else:
             self.counters.write_buffer_evictions += 1
-        if self.tracer is not None and self.tracer.wants("media"):
-            self.tracer.span("media", "write-xpline", grant.start, grant.finish,
-                             self.trace_track or self.name,
-                             reason=writeback.reason,
-                             rmw=writeback.needs_underfill_read)
+        if self.trace is not None:
+            self.trace.span("media", "write-xpline", grant.start, grant.finish, self.name,
+                            reason=writeback.reason, rmw=writeback.needs_underfill_read)
         return grant.start
 
     def reset(self) -> None:

@@ -92,7 +92,6 @@ class CrashWorkload:
         )
         self.checker = DurabilityChecker()
         self.core: HookedCore | None = None
-        self.completed_ops = 0
         #: Keys whose operation ran to completion before the crash —
         #: what recovery validators assert is still reachable.
         self.completed_keys: list[int] = []
@@ -134,7 +133,6 @@ class LinkedListWorkload(CrashWorkload):
             cursor = self.datastore.update_pass(
                 core, start=cursor, steps=1, persist=True, fence="sfence"
             )
-            self.completed_ops += 1
             self.completed_keys.append(cursor)
             tap.next_op()
 
@@ -162,7 +160,6 @@ class BtreeRedoWorkload(CrashWorkload):
         """Insert each key; a key counts as completed when insert returns."""
         for key in self.keys:
             self.datastore.insert(key, key + 100, core)
-            self.completed_ops += 1
             self.completed_keys.append(key)
             tap.next_op()
 
@@ -188,7 +185,6 @@ class CcehWorkload(CrashWorkload):
         """Insert each key; a key counts as completed when insert returns."""
         for key in self.keys:
             self.datastore.insert(key, key + 1, core)
-            self.completed_ops += 1
             self.completed_keys.append(key)
             tap.next_op()
 

@@ -50,14 +50,15 @@ class AitConfig:
 class AitCache:
     """LRU cache of address-translation granules."""
 
-    def __init__(self, config: AitConfig, counters: TelemetryCounters) -> None:
+    def __init__(self, config: AitConfig, counters: TelemetryCounters,
+                 name: str = "ait") -> None:
         config.validate()
         self.config = config
+        self.name = name
         self._counters = counters
-        #: Tracer handle + track label, installed by an ambient trace
+        #: The machine's trace handle, installed by an ambient trace
         #: session (None ⇒ tracing off, see repro.trace.session).
-        self.tracer = None
-        self.trace_track: str | None = None
+        self.trace = None
         self._entries: OrderedDict[int, None] = OrderedDict()
 
     def lookup_penalty(self, addr: int, now: float = 0.0) -> float:
@@ -73,9 +74,8 @@ class AitCache:
             self._counters.ait_hits += 1
             return 0.0
         self._counters.ait_misses += 1
-        if self.tracer is not None and self.tracer.wants("ait"):
-            self.tracer.instant("ait", "miss", now, self.trace_track or "ait",
-                                granule=granule)
+        if self.trace is not None:
+            self.trace.instant("ait", "miss", now, self.name, granule=granule)
         self._entries[granule] = None
         if len(self._entries) > self.config.entries:
             self._entries.popitem(last=False)

@@ -64,7 +64,8 @@ class XPointMedia:
         self.config = config
         self.name = name
         self.counters = counters
-        self.ait = AitCache(config.ait, counters)
+        # The AIT is the DIMM's, beside its media: pm0.media -> pm0.ait.
+        self.ait = AitCache(config.ait, counters, name=f"{name.removesuffix('.media')}.ait")
         self.read_ports = ServicePorts(config.read_ports, f"{name}.read")
         self.write_ports = ServicePorts(config.write_ports, f"{name}.write")
 

@@ -28,9 +28,10 @@ from typing import Iterator
 class TelemetryCounters:
     """Byte and event counters for one device (DIMM or DRAM channel).
 
-    All counters are cumulative; use :meth:`snapshot` + arithmetic on
-    :class:`TelemetryDelta` to measure a region of interest, exactly
-    like sampling ``ipmwatch`` before/after a benchmark loop.
+    All counters are cumulative; use :meth:`snapshot` + :meth:`delta`
+    (or :meth:`TelemetryRegistry.measure`) to measure a region of
+    interest, exactly like sampling ``ipmwatch`` before/after a
+    benchmark loop.
     """
 
     #: Bytes of read requests the iMC issued to this device.
@@ -73,31 +74,6 @@ class TelemetryCounters:
         """Zero every counter in place."""
         for name in vars(self):
             setattr(self, name, 0)
-
-    @contextmanager
-    def measure(self) -> "Iterator[TelemetryDelta]":
-        """Measure a region of interest: snapshot, run, diff.
-
-        Yields a :class:`TelemetryDelta` whose fields are zero inside
-        the ``with`` body and are filled in when it exits — the
-        snapshot/delta idiom as one construct::
-
-            with machine.registry.get("pm0").measure() as delta:
-                run_benchmark(core)
-            print(delta.write_amplification)
-
-        Only meaningful on *live* counters (ones a device is updating);
-        for an aggregate over several DIMMs use
-        :meth:`TelemetryRegistry.measure`.
-        """
-        before = self.snapshot()
-        delta = TelemetryDelta()
-        try:
-            yield delta
-        finally:
-            result = self.delta(before)
-            for name in vars(result):
-                setattr(delta, name, getattr(result, name))
 
 
 @dataclass
@@ -191,10 +167,17 @@ class TelemetryRegistry:
     def measure(self, prefix: str = "") -> "Iterator[TelemetryDelta]":
         """Measure counters accumulated across a ``with`` body.
 
-        Like :meth:`TelemetryCounters.measure`, but over the aggregate
-        of every device whose name starts with ``prefix`` — the form
-        experiments want, since :meth:`aggregate` returns a detached
-        sum that a later re-read would not update.
+        Yields a :class:`TelemetryDelta` over the aggregate of every
+        device whose name starts with ``prefix``; its fields are zero
+        inside the body and are filled in when it exits (even on an
+        exception) — the snapshot/delta idiom as one construct::
+
+            with machine.registry.measure("pm0") as delta:
+                run_benchmark(core)
+            print(delta.write_amplification)
+
+        The aggregate is recomputed at exit, because :meth:`aggregate`
+        returns a detached sum that does not follow later updates.
         """
         before = self.aggregate(prefix)
         delta = TelemetryDelta()

@@ -55,10 +55,9 @@ class IMCChannel:
             raise ConfigError(f"{name}: accept_latency cannot be negative")
         self.device = device
         self.name = name
-        #: Tracer handle + track label, installed by an ambient trace
+        #: The machine's trace handle, installed by an ambient trace
         #: session (None ⇒ tracing off, see repro.trace.session).
-        self.tracer = None
-        self.trace_track: str | None = None
+        self.trace = None
         self.accept_latency = accept_latency
         self._wpq_busy: list[Cycles] = [0.0] * wpq_slots
         self.inflight = InflightPersists()
@@ -104,11 +103,11 @@ class IMCChannel:
         response = self.device.ingest_write(acceptance, addr)
         self._wpq_busy[index] = response.ingest_finish
         self.inflight.add(cacheline_index(addr), response.persist_completion)
-        if self.tracer is not None and self.tracer.wants("imc"):
-            track = self.trace_track or self.name
-            self.tracer.counter("imc", "wpq", now, self.wpq_occupancy(now), track)
+        trace = self.trace
+        if trace is not None:
+            trace.counter("imc", "wpq", now, self.wpq_occupancy(now), self.name)
             if issue_ready > now:
-                self.tracer.span("imc", "wpq-full", now, issue_ready, track, addr=addr)
+                trace.span("imc", "wpq-full", now, issue_ready, self.name, addr=addr)
         return WpqGrant(
             issue_ready=issue_ready,
             acceptance=acceptance,

@@ -176,7 +176,6 @@ class Machine:
         self._regions: list[_Region] = []
         self._inflight_fills: dict[int, Cycles] = {}
         self.prefetch_issued = 0
-        self.prefetch_dropped = 0
         for spec in config.regions:
             self._regions.append(self._build_region(spec))
         self._regions.sort(key=lambda region: region.spec.base)
@@ -242,8 +241,6 @@ class Machine:
         """Create an execution context on this machine."""
         core = Core(self, name)
         self._core_refs.append(weakref.ref(core))
-        if self.trace is not None:
-            core.trace_track = f"{self.trace.label}.{name}"
         return core
 
     @property
@@ -318,9 +315,8 @@ class Machine:
                 return now + self.config.caches.l1.latency
             if core.last_fence == "sfence":
                 stall = now + (stall - now) * (1.0 - self.config.timing.sfence_rap_overlap)
-            if trace is not None and stall > now and trace.tracer.wants("persist"):
-                trace.tracer.span("persist", "rap-stall", now, stall,
-                                  core.trace_track or trace.label, addr=addr)
+            if trace is not None and stall > now:
+                trace.span("persist", "rap-stall", now, stall, core.name, addr=addr)
             now = max(now, stall)
         response = channel.read(now, addr, demand=True)
         finish = response.finish
@@ -328,10 +324,9 @@ class Machine:
             finish += region.spec.remote_read_adder
         writebacks = self.caches.fill(line, dirty=False, into_l1=True)
         self._handle_llc_writebacks(writebacks, now)
-        if trace is not None and trace.tracer.wants("cache"):
-            trace.tracer.span("cache", "load-miss", start, finish,
-                              core.trace_track or trace.label,
-                              addr=addr, source=response.source)
+        if trace is not None:
+            trace.span("cache", "load-miss", start, finish, core.name,
+                       addr=addr, source=response.source)
         return finish
 
     def demand_store(self, now: Cycles, addr: int, core: "Core") -> Cycles:
@@ -376,17 +371,16 @@ class Machine:
         channel = region.channel_for(addr)
         stall = channel.persist_stall(now, addr)
         if stall is not None:
-            if trace is not None and stall > now and trace.tracer.wants("persist"):
-                trace.tracer.span("persist", "rap-stall", now, stall,
-                                  trace.label, addr=addr)
+            if trace is not None and stall > now:
+                trace.span("persist", "rap-stall", now, stall, None, addr=addr)
             now = max(now, stall)
         response = channel.read(now, addr, demand=True)
         finish = response.finish
         if region.spec.remote:
             finish += region.spec.remote_read_adder
-        if trace is not None and trace.tracer.wants("cache"):
-            trace.tracer.span("cache", "stream-load", start, finish,
-                              trace.label, addr=addr, source=response.source)
+        if trace is not None:
+            trace.span("cache", "stream-load", start, finish, None,
+                       addr=addr, source=response.source)
         return finish
 
     def flush_line(self, now: Cycles, addr: int, core: "Core", invalidate: bool) -> Cycles:
@@ -406,18 +400,7 @@ class Machine:
         region = self.region_of(addr)
         channel = region.channel_for(addr)
         was_inflight = channel.persist_stall(now, addr) is not None
-        grant = channel.write(now, addr)
-        acceptance = grant.acceptance
-        if region.spec.remote:
-            acceptance += region.spec.remote_write_adder
-            channel.inflight.add(line, grant.persist_completion + region.spec.remote_persist_adder)
-        core.note_acceptance(acceptance)
-        trace = self.trace
-        if trace is not None and trace.tracer.wants("persist"):
-            track = core.trace_track or trace.label
-            trace.tracer.span("persist", "flush", now, acceptance, track, addr=addr)
-            trace.tracer.span("persist", "drain", acceptance,
-                              grant.persist_completion, track, addr=addr)
+        issued = self._persist_line(now, addr, line, region, channel, core, "flush")
         if invalidate:
             if was_inflight:
                 # Re-flushing a line whose previous persist is still in
@@ -429,7 +412,7 @@ class Machine:
                 core.forget_flush(line)
             else:
                 core.note_flush(line)
-        return max(now, grant.issue_ready) + cost
+        return issued + cost
 
     def nt_store_line(self, now: Cycles, addr: int, core: "Core") -> Cycles:
         """One 64 B non-temporal store; returns instruction finish time."""
@@ -439,6 +422,19 @@ class Machine:
         self.caches.invalidate(line)
         region = self.region_of(addr)
         channel = region.channel_for(addr)
+        issued = self._persist_line(now, addr, line, region, channel, core, "nt-store")
+        return issued + self.config.timing.ntstore_issue
+
+    # -- internals ---------------------------------------------------------------
+
+    def _persist_line(self, now: Cycles, addr: int, line: int, region: _Region,
+                      channel: IMCChannel, core: "Core", kind: str) -> Cycles:
+        """Push one flushed or nt-stored line through the WPQ for ``core``.
+
+        The next fence waits for the line's acceptance; ``kind`` names
+        the core's persist span.  Returns when the instruction issues
+        (later than ``now`` under WPQ back-pressure).
+        """
         grant = channel.write(now, addr)
         acceptance = grant.acceptance
         if region.spec.remote:
@@ -446,14 +442,11 @@ class Machine:
             channel.inflight.add(line, grant.persist_completion + region.spec.remote_persist_adder)
         core.note_acceptance(acceptance)
         trace = self.trace
-        if trace is not None and trace.tracer.wants("persist"):
-            track = core.trace_track or trace.label
-            trace.tracer.span("persist", "nt-store", now, acceptance, track, addr=addr)
-            trace.tracer.span("persist", "drain", acceptance,
-                              grant.persist_completion, track, addr=addr)
-        return max(now, grant.issue_ready) + self.config.timing.ntstore_issue
-
-    # -- internals ---------------------------------------------------------------
+        if trace is not None:
+            trace.span("persist", kind, now, acceptance, core.name, addr=addr)
+            trace.span("persist", "drain", acceptance, grant.persist_completion,
+                       core.name, addr=addr)
+        return max(now, grant.issue_ready)
 
     def _observe(self, now: Cycles, line: int, hit_level: int | None) -> None:
         if not self.prefetch.enabled:
@@ -466,14 +459,11 @@ class Machine:
         try:
             region = self.region_of(addr)
         except AddressError:
-            self.prefetch_dropped += 1
             return
         if self.caches.probe_level(line) is not None:
-            self.prefetch_dropped += 1
             return
         fill_done = self._inflight_fills.get(line)
         if fill_done is not None and fill_done > now:
-            self.prefetch_dropped += 1
             return
         channel = region.channel_for(addr)
         response = channel.read(now, addr, demand=False)
@@ -516,9 +506,6 @@ class Core:
         self.machine = machine
         self.name = name
         self.now: Cycles = 0.0
-        #: Trace track this core's spans land on (set by Machine.new_core
-        #: when an ambient trace session is active).
-        self.trace_track: str | None = None
         self.last_fence: str = "mfence"
         self._pending_acceptances: list[Cycles] = []
         self._recent_flushes: deque[int] = deque(
@@ -653,9 +640,7 @@ class Core:
         trace = self.machine.trace
         if trace is None:
             return
-        if trace.tracer.wants("persist"):
-            trace.tracer.span("persist", kind, start, self.now,
-                              self.trace_track or trace.label)
+        trace.span("persist", kind, start, self.now, self.name)
         trace.on_op(self.now)
 
     def fence(self, kind: str = "sfence") -> Cycles:

@@ -14,8 +14,8 @@ onset.  Three coordinated pieces:
 * :mod:`repro.trace.events` — the hierarchical event model: a
   :class:`Tracer` collecting span/instant/counter events in seven
   categories (``cache rbuf wbuf imc media ait persist``), emitted by
-  the machine's components behind nullable handles (zero recording
-  cost when no session is attached);
+  the machine's components through one nullable per-machine handle
+  (zero recording cost when no session is attached);
 * :mod:`repro.trace.emit` — exporters: Chrome ``trace_event`` JSON
   (drop the file into https://ui.perfetto.dev) and time-series
   CSV/JSON, plus a schema validator CI asserts on.
@@ -23,9 +23,7 @@ onset.  Three coordinated pieces:
 :mod:`repro.trace.session` ties them together ETW-style: machines
 built while a :func:`session` is open are instrumented automatically,
 so any unmodified experiment can be traced (the ``repro trace`` CLI
-subcommand does exactly this).  :mod:`repro.trace.tap` reuses the
-crash-campaign :class:`~repro.faults.hooks.EventTap` plumbing to also
-trace a *workload's* program-order persistence stream.
+subcommand does exactly this).
 
 Tracing is observational by construction: every emitter reads
 simulation state without mutating it, so traced and untraced runs
@@ -61,21 +59,9 @@ __all__ = [
     "attach_if_active",
     "session",
     "to_chrome_trace",
-    "trace_core",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_timeseries_csv",
     "write_timeseries_json",
 ]
 
-
-def trace_core(core, tracer, track=None):
-    """Wrap ``core`` so its persistence events land in ``tracer``.
-
-    Thin lazy re-export of :func:`repro.trace.tap.trace_core` — the
-    tap module pulls in :mod:`repro.faults`, which machine
-    construction (importing this package's session module) must not.
-    """
-    from repro.trace.tap import trace_core as _trace_core
-
-    return _trace_core(core, tracer, track)

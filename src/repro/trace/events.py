@@ -1,10 +1,11 @@
 """Hierarchical trace events — the simulator's ETW/ftrace equivalent.
 
 A :class:`Tracer` collects timestamped events emitted by the machine's
-components while a simulation runs.  Components hold a *nullable*
-tracer handle (``self.tracer`` is ``None`` unless a trace session is
-attached), so the disabled path costs one attribute test per
-instrumentation point and allocates nothing.
+components while a simulation runs.  Each component holds one
+*nullable* handle, the machine's
+:class:`~repro.trace.session.MachineTrace` (``self.trace`` is ``None``
+unless a trace session is attached), so the disabled path costs one
+attribute test per instrumentation point and allocates nothing.
 
 Three event shapes, mirroring the Chrome ``trace_event`` phases the
 exporter (:mod:`repro.trace.emit`) targets:

@@ -11,16 +11,17 @@ point), so tracing cannot be wired by handing a tracer to a specific
     sess.chrome_trace()                        # every machine captured
 
 While a session is active, :class:`~repro.system.machine.Machine`
-construction calls :func:`attach_if_active`, which installs the
-session's tracer onto the machine and its components (iMC channels,
-DIMMs, AIT caches) and starts a per-machine
+construction calls :func:`attach_if_active`, which gives the machine
+and its components (iMC channels, DIMMs, AIT caches) one shared
+:class:`MachineTrace` handle and starts a per-machine
 :class:`~repro.trace.sampler.TelemetrySampler` when ``interval`` is
 set.  Each machine becomes one Chrome-trace *process*
 (``machine0``, ``machine1``, ...), keeping per-track timestamps
 monotonic even when an experiment builds a fresh machine per point.
 
-With no active session every handle stays ``None`` and the
-instrumentation reduces to one attribute test per operation.
+With no active session each component's one ``trace`` handle stays
+``None`` and the instrumentation reduces to one attribute test per
+operation.
 Sessions are per-process: worker processes of a parallel sweep build
 their machines far from the parent's session, so ``repro trace`` runs
 experiments serially in-process.
@@ -40,11 +41,17 @@ _ACTIVE: "TraceSession | None" = None
 
 
 class MachineTrace:
-    """The per-machine trace handle (``machine.trace``).
+    """The per-machine trace handle: the one trace object components hold.
 
-    Bundles the session tracer, the machine's sampler (None when the
-    session samples nothing) and the machine's track label.  The
-    machine's hot paths call :meth:`on_op` once per memory operation.
+    :meth:`TraceSession.attach` sets it as ``machine.trace`` and as
+    ``.trace`` on each iMC channel, device and AIT cache; a core reads
+    its machine's.  It bundles the session tracer, the machine's
+    sampler (None when the session samples nothing) and the machine's
+    track label.  :meth:`span`, :meth:`instant` and :meth:`counter`
+    record on ``<label>.<component>``, the emitting component's
+    ``name`` (the bare label when ``component`` is None); the tracer
+    drops filtered categories.  The machine's hot paths call
+    :meth:`on_op` once per memory operation.
     """
 
     __slots__ = ("tracer", "sampler", "label")
@@ -55,6 +62,24 @@ class MachineTrace:
         self.tracer = tracer
         self.sampler = sampler
         self.label = label
+
+    def _track(self, component: str | None) -> str:
+        return self.label if component is None else f"{self.label}.{component}"
+
+    def span(self, category: str, name: str, start: Cycles, end: Cycles,
+             component: str | None, **args) -> None:
+        """Record a span covering [start, end] on ``component``'s track."""
+        self.tracer.span(category, name, start, end, self._track(component), **args)
+
+    def instant(self, category: str, name: str, ts: Cycles,
+                component: str | None, **args) -> None:
+        """Record a point event at ``ts`` on ``component``'s track."""
+        self.tracer.instant(category, name, ts, self._track(component), **args)
+
+    def counter(self, category: str, name: str, ts: Cycles, value: float,
+                component: str | None) -> None:
+        """Record one sample of counter ``name`` on ``component``'s track."""
+        self.tracer.counter(category, name, ts, value, self._track(component))
 
     def on_op(self, now: Cycles) -> None:
         """Advance sampling to ``now`` (called per memory operation)."""
@@ -89,21 +114,14 @@ class TraceSession:
                                        tracer=self.tracer, label=label,
                                        max_rows=self.max_rows)
             self.samplers.append(sampler)
-        machine.trace = MachineTrace(self.tracer, sampler, label)
-        for core in machine.cores:
-            core.trace_track = f"{label}.{core.name}"
-        for name, channel in machine.channels().items():
-            track = f"{label}.{name}"
-            channel.tracer = self.tracer
-            channel.trace_track = f"{label}.imc.{name}"
-            device = channel.device
-            device.tracer = self.tracer
-            device.trace_track = track
-            media = getattr(device, "media", None)
-            ait = getattr(media, "ait", None)
+        trace = MachineTrace(self.tracer, sampler, label)
+        machine.trace = trace
+        for channel in machine.channels().values():
+            channel.trace = trace
+            channel.device.trace = trace
+            ait = getattr(getattr(channel.device, "media", None), "ait", None)
             if ait is not None:
-                ait.tracer = self.tracer
-                ait.trace_track = f"{track}.ait"
+                ait.trace = trace
 
     @property
     def machines(self) -> int:

@@ -1,9 +1,9 @@
 """Every core stand-in exposes the whole Core API, and wrappers are transparent.
 
 ``NullCore`` must accept every op a data store may issue, and each
-``CoreProxy`` subclass (``InstrumentedCore``, ``HookedCore``,
-``trace_core(...)``) must leave the wrapped core's clock and op
-counters exactly where a bare ``Core`` would be.
+``CoreProxy`` subclass (``InstrumentedCore``, ``HookedCore``) must
+leave the wrapped core's clock and op counters exactly where a bare
+``Core`` would be.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.faults.hooks import EventTap, HookedCore
 from repro.persist.allocator import PmHeap
 from repro.system.machine import Core
 from repro.system.presets import machine_for
-from repro.trace import Tracer, trace_core
 
 #: The public Core operations (bookkeeping hooks Machine calls excluded).
 CORE_OPS = (
@@ -28,7 +27,6 @@ WRAPPERS = {
     "CoreProxy": CoreProxy,
     "InstrumentedCore": InstrumentedCore,
     "HookedCore": lambda core: HookedCore(core, EventTap()),
-    "trace_core": lambda core: trace_core(core, Tracer()),
 }
 
 

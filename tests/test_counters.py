@@ -100,8 +100,10 @@ class TestRegistry:
 
 class TestMeasure:
     def test_counters_measure_captures_region(self):
-        counters = TelemetryCounters(imc_read_bytes=100)
-        with counters.measure() as delta:
+        registry = TelemetryRegistry()
+        counters = registry.register("pm0")
+        counters.imc_read_bytes = 100
+        with registry.measure("pm0") as delta:
             counters.imc_read_bytes += 64
             counters.media_read_bytes += 256
         assert delta.imc_read_bytes == 64
@@ -109,16 +111,18 @@ class TestMeasure:
         assert delta.read_amplification == 4.0
 
     def test_delta_filled_only_at_exit(self):
-        counters = TelemetryCounters()
-        with counters.measure() as delta:
+        registry = TelemetryRegistry()
+        counters = registry.register("pm0")
+        with registry.measure("pm0") as delta:
             counters.imc_write_bytes += 64
             assert delta.imc_write_bytes == 0  # not yet finalized
         assert delta.imc_write_bytes == 64
 
     def test_measure_filled_even_on_exception(self):
-        counters = TelemetryCounters()
+        registry = TelemetryRegistry()
+        counters = registry.register("pm0")
         with pytest.raises(RuntimeError):
-            with counters.measure() as delta:
+            with registry.measure("pm0") as delta:
                 counters.imc_write_bytes += 64
                 raise RuntimeError("boom")
         assert delta.imc_write_bytes == 64

@@ -19,6 +19,12 @@ in ``src/``, ``tests/``, ``examples/`` or ``perfbench/`` besides its
 own definition and package ``__init__`` re-exports.  Naming is a word
 match over the source text, so string constants (``getattr`` names,
 op tables) and docstrings count.
+
+A fourth rule catches write-only state: every public attribute a
+module under ``src/repro`` stores on ``self`` is read somewhere in
+``src/``, ``tests/``, ``examples/`` or ``perfbench/``, as an attribute
+load (``obj.name``; an augmented assignment such as ``self.name += 1``
+is a store only) or as a ``getattr(obj, "name")`` string.
 """
 
 import ast
@@ -146,3 +152,38 @@ def test_every_public_def_is_named_outside_its_definition():
             sites.append((name, f"{_rel(path)}:{line}"))
     dead = [f"{site} {name}" for name, site in sites if words[name] <= defined[name]]
     assert not dead, "public defs named nowhere but their definition: " + ", ".join(dead)
+
+
+def _self_stores(tree: ast.Module):
+    """Yield (name, line) for each public attribute stored on ``self``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and not node.attr.startswith("_")):
+            yield node.attr, node.lineno
+
+
+def _loaded_attributes(tree: ast.Module):
+    """Yield every attribute name the module reads, ``getattr`` strings included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)):
+            yield node.args[1].value
+
+
+def test_every_public_self_attribute_is_read():
+    loaded: set[str] = set()
+    for tree_root in ("src", "tests", "examples", "perfbench"):
+        for path in (ROOT / tree_root).rglob("*.py"):
+            loaded.update(_loaded_attributes(_parse(path)))
+    dead = sorted({
+        f"{_rel(path)}:{line} self.{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in _self_stores(_parse(path))
+        if name not in loaded
+    })
+    assert not dead, "public attributes stored but never read: " + ", ".join(dead)

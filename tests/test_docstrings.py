@@ -43,7 +43,6 @@ LINTED_MODULES = [
     SRC / "trace" / "events.py",
     SRC / "trace" / "sampler.py",
     SRC / "trace" / "session.py",
-    SRC / "trace" / "tap.py",
     SRC / "validate" / "__init__.py",
     SRC / "validate" / "determinism.py",
     SRC / "validate" / "mutations.py",

@@ -148,7 +148,6 @@ class BrokenLinkedListWorkload(LinkedListWorkload):
                 core.clwb(previous.pad_addr(1), 8)
                 core.sfence()
             previous = element
-            self.completed_ops += 1
             cursor = element.next_index
             tap.next_op()
 

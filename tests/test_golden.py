@@ -14,6 +14,13 @@ outputs of a workload's fixed prefix rounds, see ``perfbench/harness.py``)
 for two seeds, as ``harness.run(workload, seed, seconds=0,
 trace=False).digest``.
 
+Its ``trace`` section pins the observability output of three traced
+runs, as the SHA-256 of the Chrome trace JSON, the time-series CSV and
+the session summary line together::
+
+    sha256(json.dumps(to_chrome_trace(sess.tracer), sort_keys=True)
+           + sess.timeseries().to_csv() + sess.summary())
+
 A refactor that claims not to change the model must keep every digest.
 The table changes only with a declared model change that names each
 moved digest and why; it is never regenerated to make a failure go
@@ -30,6 +37,8 @@ import pathlib
 import pytest
 
 from repro.runner.registry import REGISTRY
+from repro.system.presets import machine_for
+from repro.trace import session, to_chrome_trace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "report_digests.json").read_text())
@@ -99,4 +108,50 @@ def test_perfbench_prefix_digest_is_unchanged(workload, seed, expected, monkeypa
     actual = harness.run(workload, seed, seconds=0, trace=False).digest
     assert actual == expected, (
         f"perfbench {workload} seed {seed} prefix digest is now {actual}, golden is {expected}"
+    )
+
+
+def _rap_program() -> None:
+    """Store, clwb, mfence, stream-load, nt-store, sfence, load: three times.
+
+    Covers the ``stream-load`` span and the ``rap-stall`` a core-less
+    streaming load records on the machine's bare track.
+    """
+    machine = machine_for(1)
+    core = machine.new_core()
+    addr = machine.region_spec("pm").base
+    for _ in range(3):
+        core.store(addr)
+        core.clwb(addr)
+        core.mfence()
+        core.stream_load(addr)
+        core.nt_store(addr)
+        core.sfence()
+        core.load(addr)
+
+
+#: name -> (session options, traced body) of each pinned trace run.
+TRACE_RUNS = {
+    "ablations": ({"interval": 1000}, lambda: REGISTRY["ablations"].run(1, "fast")),
+    "sec33": ({"categories": ["imc", "persist"]}, lambda: REGISTRY["sec33"].run(1, "fast")),
+    "rap-program": ({"interval": 200}, _rap_program),
+}
+
+
+def trace_digest(name: str) -> str:
+    """SHA-256 of one traced run's Chrome trace, time series and summary."""
+    options, body = TRACE_RUNS[name]
+    with session(**options) as sess:
+        body()
+    canonical = (json.dumps(to_chrome_trace(sess.tracer), sort_keys=True)
+                 + sess.timeseries().to_csv() + sess.summary())
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RUNS))
+def test_trace_digest_is_unchanged(name):
+    expected = GOLDEN["trace"][name]
+    actual = trace_digest(name)
+    assert actual == expected, (
+        f"traced {name} output changed: digest is now {actual}, golden is {expected}"
     )

@@ -28,7 +28,6 @@ from repro.trace import (
     active_session,
     session,
     to_chrome_trace,
-    trace_core,
     validate_chrome_trace,
     write_chrome_trace,
     write_timeseries_csv,
@@ -221,9 +220,10 @@ class TestSession:
             assert active_session() is sess
             assert machine.trace is not None
             assert machine.trace.sampler is sess.samplers[0]
+            assert machine.trace.tracer is sess.tracer
             for channel in machine.channels().values():
-                assert channel.tracer is sess.tracer
-                assert channel.device.tracer is sess.tracer
+                assert channel.trace is machine.trace
+                assert channel.device.trace is machine.trace
         assert active_session() is None
 
     def test_sessions_nest_and_restore(self):
@@ -245,12 +245,6 @@ class TestSession:
             assert machine.trace.sampler is None
         assert sess.samplers == []
         assert sess.timeseries().rows == []
-
-    def test_new_cores_inherit_track(self):
-        with session():
-            machine = machine_for(1)
-            core = machine.new_core()
-            assert core.trace_track == f"{machine.trace.label}.{core.name}"
 
     def test_summary_mentions_drops(self):
         with session(max_events=2) as sess:
@@ -361,52 +355,6 @@ class TestWpqTimeDomain:
         stalls = [e for e in sess.tracer.events if e.name == "rap-stall"]
         assert stalls, "distance-0 mfence RAP must produce rap-stall spans"
         assert all(e.phase == "X" and e.dur > 0 for e in stalls)
-
-
-class TestTracingTap:
-    def test_persist_instants_stamped_at_completion(self):
-        tracer = Tracer()
-        machine = machine_for(1)
-        heap = PmHeap(machine)
-        core = machine.new_core()
-        traced = trace_core(core, tracer)
-        addr = heap.pm.alloc_xpline()
-        traced.store(addr, 8)
-        traced.clwb(addr)
-        traced.sfence()
-        kinds = [e.name for e in tracer.events]
-        assert kinds == ["store", "clwb", "fence"]
-        ts = [e.ts for e in tracer.events]
-        assert ts == sorted(ts)
-        # HookedCore forwards before reporting, so the final event is
-        # stamped at the core's post-fence clock.
-        assert ts[-1] == core.now
-
-    def test_tap_contract_preserved(self):
-        tracer = Tracer()
-        machine = machine_for(1)
-        heap = PmHeap(machine)
-        traced = trace_core(machine.new_core(), tracer)
-        addr = heap.pm.alloc_xpline()
-        traced.store(addr, 8)
-        traced.clwb(addr)
-        traced.sfence()
-        tap = traced.tap
-        assert tap.count == 3
-        assert [e.kind for e in tap.events] == ["store", "clwb", "fence"]
-        assert tap.checker.committed_count == 1
-
-    def test_category_filter_suppresses_instants_not_ledger(self):
-        tracer = Tracer(categories=["media"])
-        machine = machine_for(1)
-        heap = PmHeap(machine)
-        traced = trace_core(machine.new_core(), tracer)
-        addr = heap.pm.alloc_xpline()
-        traced.store(addr, 8)
-        traced.clwb(addr)
-        traced.sfence()
-        assert len(tracer) == 0
-        assert traced.tap.count == 3
 
 
 def _digest(reports) -> str:
