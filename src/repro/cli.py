@@ -35,15 +35,10 @@ import argparse
 import sys
 
 from repro.common.errors import ConfigError
-from repro.faults.campaign import FAULT_MODES, STATUS_CODES
-from repro.faults.schedule import InjectionSchedule
+from repro.faults.campaign import FAULT_MODES, STATUS_CODES, parse_points
 from repro.faults.workloads import DATASTORES
 from repro.runner import REGISTRY, ResultCache, RunRequest, run_sweep
 from repro.runner.registry import resolve_names
-
-#: Backwards-compatible view of the registry:
-#: name -> (description, runner callable).  Prefer repro.runner.REGISTRY.
-EXPERIMENTS = {name: (spec.title, spec.run) for name, spec in REGISTRY.items()}
 
 
 def _bounded(kind: type, minimum: float, strict: bool = False):
@@ -169,23 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", dest="list_claims",
         help="list the registered claims and exit",
     )
-    cache_group = validate.add_mutually_exclusive_group()
-    cache_group.add_argument(
-        "--cache", dest="cache", action="store_true", default=True,
-        help="serve/populate the on-disk result cache (default)",
-    )
-    cache_group.add_argument(
-        "--no-cache", dest="cache", action="store_false",
-        help="bypass the result cache entirely",
-    )
-    validate.add_argument(
-        "--force", action="store_true",
-        help="invalidate cached entries for the selected runs and recompute",
-    )
-    validate.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
+    _add_cache_arguments(validate)
     return parser
 
 
@@ -206,6 +185,11 @@ def _add_common_run_arguments(command: argparse.ArgumentParser) -> None:
         "--retries", type=_bounded(int, 0), default=2, metavar="N",
         help="re-executions granted to a failing work unit before quarantine (default 2)",
     )
+    _add_cache_arguments(command)
+
+
+def _add_cache_arguments(command: argparse.ArgumentParser) -> None:
+    """Attach the result-cache flags shared by run, crashtest and validate."""
     cache_group = command.add_mutually_exclusive_group()
     cache_group.add_argument(
         "--cache", dest="cache", action="store_true", default=True,
@@ -249,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "crashtest":
         try:
-            InjectionSchedule.parse(args.points, seed=args.seed)
+            parse_points(args.points)
         except ConfigError as error:
             print(f"bad --points value: {error}", file=sys.stderr)
             return 2

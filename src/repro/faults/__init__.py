@@ -3,62 +3,33 @@
 The package turns the simulator's determinism into a crash-consistency
 test rig: every persistence event of a workload is a potential crash
 point, realized by replaying the workload from scratch, cutting power
-there (:class:`~repro.persist.crash.CrashSimulator`), and validating
+there (:class:`~repro.persist.crash.CrashSimulator`), and checking
 recovery — structural invariants plus no-lost-committed-update against
 the durability ledger.  See ``docs/crash_consistency.md`` for the
-model and for how to write a validator for a new datastore.
+model and for how to add a datastore.
 """
 
 from repro.faults.campaign import (
-    FAULT_MODES,
     STATUS_CODES,
-    CampaignConfig,
-    CrashPointResult,
-    FaultCampaignReport,
+    crash_points,
+    parse_points,
     run_campaign,
+    run_crashtest,
 )
 from repro.faults.hooks import CrashPointReached, EventTap, HookedCore, PersistEvent
-from repro.faults.schedule import InjectionSchedule
-from repro.faults.validators import (
-    BtreeValidator,
-    CcehValidator,
-    LinkedListValidator,
-    RecoveryValidator,
-    validator_for,
-)
-from repro.faults.workloads import (
-    DATASTORES,
-    BtreeRedoWorkload,
-    CcehWorkload,
-    CrashWorkload,
-    LinkedListWorkload,
-    make_workload,
-)
-from repro.faults.experiment import run_crashtest, run_crashtest_campaign
+from repro.faults.workloads import WORKLOADS, CrashWorkload, LinkedListWorkload
 
 __all__ = [
-    "FAULT_MODES",
     "STATUS_CODES",
-    "DATASTORES",
-    "CampaignConfig",
-    "CrashPointResult",
-    "FaultCampaignReport",
+    "crash_points",
+    "parse_points",
     "run_campaign",
+    "run_crashtest",
     "CrashPointReached",
     "EventTap",
     "HookedCore",
     "PersistEvent",
-    "InjectionSchedule",
-    "RecoveryValidator",
-    "LinkedListValidator",
-    "BtreeValidator",
-    "CcehValidator",
-    "validator_for",
+    "WORKLOADS",
     "CrashWorkload",
     "LinkedListWorkload",
-    "BtreeRedoWorkload",
-    "CcehWorkload",
-    "make_workload",
-    "run_crashtest",
-    "run_crashtest_campaign",
 ]

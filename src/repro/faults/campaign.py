@@ -1,214 +1,113 @@
-"""Crash-point campaign driver and its machine-readable report.
+"""Crash-point campaigns: one workload × one fault mode × one schedule.
 
-One campaign = one workload × one fault mode × one injection schedule.
 The driver first replays the workload uncut to count persistence
-events, asks the schedule which event indexes get a power cut, then
-for each point replays from scratch, stops at the point, pulls the
-plug via :class:`~repro.persist.crash.CrashSimulator`, and runs the
-datastore's :class:`~repro.faults.validators.RecoveryValidator`.
+events, picks which event indexes get a power cut (:func:`crash_points`),
+then for each point replays from scratch, stops at the point, pulls the
+plug via :class:`~repro.persist.crash.CrashSimulator`, and asks the
+workload to :meth:`~repro.faults.workloads.CrashWorkload.classify` what
+recovery found.
 
-Every crash point yields a :class:`CrashPointResult`; the campaign
-aggregates them into a :class:`FaultCampaignReport` that serializes to
-JSON and converts to an
-:class:`~repro.experiments.common.ExperimentReport` so campaigns flow
-through the PR-1 runner, result cache, and CLI unchanged.
+A campaign's result is an
+:class:`~repro.experiments.common.ExperimentReport` — x-axis = crash
+points, one series per status code (:data:`STATUS_CODES`), loss counts
+and drain counts, with the summary and the first violation (the
+pinpointed crash event) in the notes — so campaigns flow through the
+runner, the result cache and the CLI like the figure experiments do.
+:func:`run_crashtest` has the runner's uniform shape — module-level,
+picklable, ``(generation, profile, **overrides) -> list[ExperimentReport]``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
+from repro.common.errors import ConfigError
 from repro.common.rng import DEFAULT_SEED, DeterministicRng
-from repro.experiments.common import ExperimentReport
+from repro.experiments.common import ExperimentReport, check_profile
 from repro.faults.hooks import CrashPointReached, EventTap
-from repro.faults.schedule import InjectionSchedule
-from repro.faults.validators import RecoveryValidator
-from repro.faults.workloads import CrashWorkload
+from repro.faults.workloads import WORKLOADS, CrashWorkload
 from repro.persist.crash import CrashSimulator, FaultMode
 
 #: Campaign-level fault modes: the CrashSimulator modes plus "eadr",
 #: which is a *machine* variant (caches join the persistence domain)
 #: crashed with a clean power loss.
-FAULT_MODES = ("power-loss", "torn-xpline", "ait-miss", "eadr")
+FAULT_MODES = tuple(mode.value for mode in FaultMode) + ("eadr",)
 
 #: Numeric encoding of per-point status for ExperimentReport series.
 STATUS_CODES = {"ok": 0.0, "beyond-adr-loss": 1.0, "violation": 2.0}
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Everything one campaign run needs."""
-
-    #: Display name (normally the datastore name).
-    name: str
-    #: Builds a *fresh* workload instance per replay.
-    factory: Callable[[], CrashWorkload]
-    #: Recovery validator matched to the workload's datastore.
-    validator: RecoveryValidator
-    #: Which crash points get injected.
-    schedule: InjectionSchedule
-    #: One of :data:`FAULT_MODES`.
-    fault_mode: str = "power-loss"
-    #: Seeds the per-point fault RNG (torn-xpline victim draws).
-    seed: int = DEFAULT_SEED
-    generation: int = 1
-
-    def crash_mode(self) -> FaultMode:
-        """The CrashSimulator mode this campaign injects."""
-        if self.fault_mode in ("power-loss", "eadr"):
-            return FaultMode.CLEAN
-        return FaultMode.parse(self.fault_mode)
+def parse_points(text: str) -> int | None:
+    """Parse a crash-point schedule: ``exhaustive`` (None) or ``sample:N`` (N)."""
+    if text == "exhaustive":
+        return None
+    if text.startswith("sample:"):
+        try:
+            size = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"bad sample size in schedule {text!r}")
+        if size <= 0:
+            raise ConfigError("sample size must be positive")
+        return size
+    raise ConfigError(
+        f"unknown injection schedule {text!r}; use 'exhaustive' or 'sample:N'"
+    )
 
 
-@dataclass(frozen=True)
-class CrashPointResult:
-    """Outcome of one injected crash."""
+def crash_points(sample: int | None, total_events: int, seed: int) -> list[int]:
+    """Sorted crash-point indexes to inject, given the stream length.
 
-    #: Event index the power failed after.
-    point: int
-    #: Human-readable description of that event.
-    event: str
-    #: Workload operation in flight when power failed.
-    op_index: int
-    #: "ok" | "violation" | "beyond-adr-loss".
-    status: str
-    #: What the validator found (empty when ok).
-    problems: tuple[str, ...] = ()
-    #: Dirty PM cachelines lost from the CPU caches.
-    lost_lines: int = 0
-    #: PM cachelines destroyed by the injected beyond-ADR fault.
-    torn_lines: int = 0
-    #: XPLines the ADR drain saved.
-    drained_xplines: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict of every field."""
-        return {
-            "point": self.point,
-            "event": self.event,
-            "op_index": self.op_index,
-            "status": self.status,
-            "problems": list(self.problems),
-            "lost_lines": self.lost_lines,
-            "torn_lines": self.torn_lines,
-            "drained_xplines": self.drained_xplines,
-        }
+    ``sample=None`` is exhaustive: for small workloads the campaign can
+    afford to crash after every persistence event, so any
+    missing-barrier window in the run contains some crash point.
+    Otherwise ``sample`` distinct points are drawn without replacement,
+    reproducibly from ``seed``.  A sample larger than the stream
+    degrades to exhaustive: every point is tested once, never twice.
+    """
+    if total_events <= 0:
+        return []
+    if sample is None or sample >= total_events:
+        return list(range(total_events))
+    return sorted(DeterministicRng(seed).sample(range(total_events), sample))
 
 
-@dataclass
-class FaultCampaignReport:
-    """Machine-readable summary of a whole campaign."""
+def run_campaign(
+    factory: Callable[[], CrashWorkload],
+    name: str,
+    generation: int = 1,
+    points: str = "exhaustive",
+    seed: int = DEFAULT_SEED,
+    fault_mode: str = "power-loss",
+) -> ExperimentReport:
+    """Execute one crash campaign and return its report.
 
-    workload: str
-    generation: int
-    fault_mode: str
-    schedule: str
-    seed: int
-    #: Persistence events in the uncut workload.
-    total_events: int
-    results: list[CrashPointResult] = field(default_factory=list)
-
-    @property
-    def points_tested(self) -> int:
-        """How many crash points were injected."""
-        return len(self.results)
-
-    def violations(self) -> list[CrashPointResult]:
-        """Crash points where the datastore claimed durability it lacked."""
-        return [result for result in self.results if result.status == "violation"]
-
-    def beyond_adr(self) -> list[CrashPointResult]:
-        """Crash points where only injected platform damage was found."""
-        return [result for result in self.results if result.status == "beyond-adr-loss"]
-
-    def first_violation(self) -> CrashPointResult | None:
-        """The earliest violating crash point (None when clean)."""
-        violating = self.violations()
-        return min(violating, key=lambda result: result.point) if violating else None
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        head = (
-            f"{self.workload} g{self.generation} {self.fault_mode} "
-            f"[{self.schedule}]: {self.points_tested}/{self.total_events} "
-            f"points, {len(self.violations())} violations, "
-            f"{len(self.beyond_adr())} beyond-ADR losses"
-        )
-        first = self.first_violation()
-        if first is not None:
-            head += f"; first violation at {first.event}"
-        return head
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict of the campaign, results included."""
-        return {
-            "workload": self.workload,
-            "generation": self.generation,
-            "fault_mode": self.fault_mode,
-            "schedule": self.schedule,
-            "seed": self.seed,
-            "total_events": self.total_events,
-            "violations": len(self.violations()),
-            "beyond_adr": len(self.beyond_adr()),
-            "results": [result.to_dict() for result in self.results],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialize :meth:`to_dict` as JSON."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def as_experiment_report(self) -> ExperimentReport:
-        """Encode the campaign as an ExperimentReport.
-
-        Lets campaigns ride the PR-1 runner/cache: x-axis = crash
-        points, series = status code (:data:`STATUS_CODES`), loss
-        counts, and drain counts; the summary and first violation (the
-        pinpointed crash event) travel in the notes.
-        """
-        report = ExperimentReport(
-            experiment_id=f"crash-{self.workload}",
-            title=f"Crash campaign — {self.workload} ({self.fault_mode})",
-            x_label="crash point",
-            x_values=[result.point for result in self.results],
-            x_is_size=False,
-        )
-        report.add_series("status", [STATUS_CODES[result.status] for result in self.results])
-        report.add_series("lost_lines", [float(result.lost_lines) for result in self.results])
-        report.add_series("torn_lines", [float(result.torn_lines) for result in self.results])
-        report.add_series(
-            "drained_xplines", [float(result.drained_xplines) for result in self.results]
-        )
-        report.notes.append(self.summary())
-        first = self.first_violation()
-        if first is not None:
-            report.notes.append(
-                f"first violation at {first.event}: {'; '.join(first.problems)}"
-            )
-        return report
-
-
-def run_campaign(config: CampaignConfig) -> FaultCampaignReport:
-    """Execute one crash campaign and return its report."""
+    ``factory`` builds a *fresh* workload per replay; ``points`` is
+    schedule syntax (:func:`parse_points`); ``seed`` drives both the
+    sampling draw and the per-point fault RNG (torn-xpline victims).
+    """
+    sample = parse_points(points)
+    crash_mode = FaultMode.CLEAN if fault_mode == "eadr" else FaultMode.parse(fault_mode)
     # Dry run: replay the workload uncut to measure the event stream.
-    probe = config.factory()
+    probe = factory()
     probe_tap = EventTap(probe.checker)
     probe.run(probe_tap)
     total_events = probe_tap.count
 
-    report = FaultCampaignReport(
-        workload=config.name,
-        generation=config.generation,
-        fault_mode=config.fault_mode,
-        schedule=config.schedule.describe(),
-        seed=config.seed,
-        total_events=total_events,
+    chosen = crash_points(sample, total_events, seed)
+    report = ExperimentReport(
+        experiment_id=f"crash-{name}",
+        title=f"Crash campaign — {name} ({fault_mode})",
+        x_label="crash point",
+        x_values=chosen,
+        x_is_size=False,
     )
-    crash_mode = config.crash_mode()
-    fault_rng = DeterministicRng(config.seed)
-    for point in config.schedule.points(total_events):
-        instance = config.factory()
+    statuses: list[str] = []
+    losses: dict[str, list[float]] = {"lost_lines": [], "torn_lines": [], "drained_xplines": []}
+    first = None  # (event, problems) at the earliest violating point
+    fault_rng = DeterministicRng(seed)
+    for point in chosen:
+        instance = factory()
         tap = EventTap(instance.checker, stop_at=point)
         try:
             instance.run(tap)
@@ -217,24 +116,66 @@ def run_campaign(config: CampaignConfig) -> FaultCampaignReport:
         # Disarm the tap: recovery runs through the same machine and
         # must not trip the (already fired) crash point again.
         tap.stop_at = None
-        simulator = CrashSimulator(instance.machine)
-        crash = simulator.power_failure(
+        crash = CrashSimulator(instance.machine).power_failure(
             now=instance.core.now if instance.core is not None else 0.0,
             mode=crash_mode,
             rng=fault_rng.fork(1_000 + point),
         )
-        status, problems = config.validator.validate(instance, crash)
-        last = tap.last_event
-        report.results.append(
-            CrashPointResult(
-                point=point,
-                event=last.describe() if last is not None else "<before first event>",
-                op_index=last.op_index if last is not None else 0,
-                status=status,
-                problems=problems,
-                lost_lines=len(crash.lost_pm_lines),
-                torn_lines=len(crash.torn_pm_lines),
-                drained_xplines=crash.drained_xplines,
-            )
-        )
+        status, problems = instance.classify(crash)
+        statuses.append(status)
+        losses["lost_lines"].append(float(len(crash.lost_pm_lines)))
+        losses["torn_lines"].append(float(len(crash.torn_pm_lines)))
+        losses["drained_xplines"].append(float(crash.drained_xplines))
+        if status == "violation" and first is None:
+            last = tap.last_event
+            first = (last.describe() if last is not None else "<before first event>", problems)
+
+    report.add_series("status", [STATUS_CODES[status] for status in statuses])
+    for series, values in losses.items():
+        report.add_series(series, values)
+    schedule = "exhaustive" if sample is None else f"sample:{sample}"
+    summary = (
+        f"{name} g{generation} {fault_mode} [{schedule}]: {len(chosen)}/{total_events} "
+        f"points, {statuses.count('violation')} violations, "
+        f"{statuses.count('beyond-adr-loss')} beyond-ADR losses"
+    )
+    if first is None:
+        report.notes.append(summary)
+    else:
+        event, problems = first
+        report.notes.append(f"{summary}; first violation at {event}")
+        report.notes.append(f"first violation at {event}: {'; '.join(problems)}")
     return report
+
+
+def run_crashtest(
+    generation: int,
+    profile: str,
+    datastore: str,
+    points: str = "exhaustive",
+    seed: int = 7,
+    fault_mode: str = "power-loss",
+) -> list[ExperimentReport]:
+    """Registry entry point: one campaign as an ExperimentReport list.
+
+    ``points`` defaults to exhaustive — the shipped workloads are small
+    enough that full coverage is the sensible default.
+    """
+    if datastore not in WORKLOADS:
+        raise ConfigError(
+            f"unknown crash datastore {datastore!r}; known: {', '.join(WORKLOADS)}"
+        )
+    check_profile(profile)
+    if fault_mode not in FAULT_MODES:
+        raise ConfigError(
+            f"unknown fault mode {fault_mode!r}; known: {', '.join(FAULT_MODES)}"
+        )
+    factory = partial(
+        WORKLOADS[datastore],
+        generation=generation,
+        profile=profile,
+        seed=seed,
+        eadr=fault_mode == "eadr",
+        ait_pressure=fault_mode == "ait-miss",
+    )
+    return [run_campaign(factory, datastore, generation, points, seed, fault_mode)]

@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.constants import CACHELINE_SIZE, cacheline_index
+from repro.common.constants import CACHELINE_SIZE
 from repro.common.errors import ReproError
 from repro.datastores.base import OP_CLASSES, CoreProxy
-from repro.persist.crash import DurabilityChecker
+from repro.persist.crash import DurabilityChecker, cacheline_span
 
 
 class CrashPointReached(ReproError):
@@ -64,13 +64,6 @@ class PersistEvent:
         if self.kind == "fence":
             return f"#{self.index} fence (op {self.op_index})"
         return f"#{self.index} {self.kind} {self.addr:#x}+{self.size} (op {self.op_index})"
-
-
-def _lines(addr: int, size: int) -> range:
-    """Cacheline indexes covered by [addr, addr+size)."""
-    first = cacheline_index(addr)
-    last = cacheline_index(addr + max(size, 1) - 1)
-    return range(first, last + 1)
 
 
 class EventTap:
@@ -111,7 +104,7 @@ class EventTap:
 
     def on_store(self, addr: int, size: int) -> None:
         """A cached store: re-dirties lines, retracting their claims."""
-        for line in _lines(addr, size):
+        for line in cacheline_span(addr, size):
             self._pending_lines.discard(line)
         self.checker.retract(addr, size)
         self._record("store", addr, size)
@@ -122,7 +115,7 @@ class EventTap:
         Like the others, a serializing clflush is claimed only at the
         next fence, which under-claims rather than over-claims.
         """
-        self._pending_lines.update(_lines(addr, size))
+        self._pending_lines.update(cacheline_span(addr, size))
         self._record(kind, addr, size)
 
     def on_fence(self) -> None:

@@ -72,6 +72,11 @@ class FaultMode(enum.Enum):
         )
 
 
+def cacheline_span(addr: int, size: int) -> range:
+    """Cacheline indexes covered by [addr, addr+size); a 0-byte op covers one."""
+    return range(cacheline_index(addr), cacheline_index(addr + max(size, 1) - 1) + 1)
+
+
 def _xpline_cachelines(xpline: int, mask: int) -> set[int]:
     """Cacheline indexes of the slots selected by ``mask`` in ``xpline``."""
     return {
@@ -293,9 +298,7 @@ class DurabilityChecker:
 
     def commit(self, addr: int, size: int = 8) -> None:
         """Mark [addr, addr+size) as claimed-durable."""
-        first = cacheline_index(addr)
-        last = cacheline_index(addr + max(size, 1) - 1)
-        self._committed_lines.update(range(first, last + 1))
+        self._committed_lines.update(cacheline_span(addr, size))
 
     def retract(self, addr: int, size: int = 8) -> None:
         """Withdraw the durability claim over [addr, addr+size).
@@ -304,9 +307,7 @@ class DurabilityChecker:
         new version is legitimately volatile until the next barrier, so
         losing it in a crash is not a violation.
         """
-        first = cacheline_index(addr)
-        last = cacheline_index(addr + max(size, 1) - 1)
-        self._committed_lines.difference_update(range(first, last + 1))
+        self._committed_lines.difference_update(cacheline_span(addr, size))
 
     @property
     def committed_count(self) -> int:

@@ -21,7 +21,8 @@ from typing import Callable
 from repro.experiments import ablations, bandwidth, fig02, fig03, fig04, fig06, fig07, fig08
 from repro.experiments import fig10, fig12, fig13, fig14, interleaving, lock_handover, sec33, table1
 from repro.experiments.common import ExperimentReport
-from repro.faults.experiment import run_crashtest
+from repro.faults.campaign import run_crashtest
+from repro.faults.workloads import WORKLOADS
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,8 @@ REGISTRY: dict[str, ExperimentSpec] = {
         ExperimentSpec("bandwidth", "§2.2 — device bandwidth characterization", _run_bandwidth),
         ExperimentSpec("lock", "§3.5 — persistent lock handover latency", _run_lock),
         ExperimentSpec("interleave", "§2.4 — 1 vs 6 interleaved DIMMs", _run_interleaving),
-        ExperimentSpec("crash-linkedlist", "Crash campaign — persistent linked list",
-                       partial(run_crashtest, datastore="linkedlist")),
-        ExperimentSpec("crash-btree", "Crash campaign — B+-tree redo logging",
-                       partial(run_crashtest, datastore="btree")),
-        ExperimentSpec("crash-cceh", "Crash campaign — CCEH hash table",
-                       partial(run_crashtest, datastore="cceh")),
+        *(ExperimentSpec(f"crash-{name}", workload.title, partial(run_crashtest, datastore=name))
+          for name, workload in WORKLOADS.items()),
     )
 }
 

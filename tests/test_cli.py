@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.runner import REGISTRY
 
 
 @pytest.fixture(autouse=True)
@@ -16,7 +17,7 @@ class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in REGISTRY:
             assert name in out
 
     def test_unknown_experiment(self, capsys):
@@ -174,4 +175,4 @@ class TestRun:
         # Every experiment id the README/DESIGN mention is runnable.
         for required in ("fig2", "fig3", "fig4", "sec33", "fig6", "fig7",
                          "fig8", "table1", "fig10", "fig12", "fig13", "fig14"):
-            assert required in EXPERIMENTS
+            assert required in REGISTRY

@@ -33,10 +33,7 @@ LINTED_MODULES = [
     SRC / "persist" / "persistency.py",
     SRC / "faults" / "__init__.py",
     SRC / "faults" / "campaign.py",
-    SRC / "faults" / "experiment.py",
     SRC / "faults" / "hooks.py",
-    SRC / "faults" / "schedule.py",
-    SRC / "faults" / "validators.py",
     SRC / "faults" / "workloads.py",
     SRC / "trace" / "__init__.py",
     SRC / "trace" / "emit.py",

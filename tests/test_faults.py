@@ -1,59 +1,74 @@
 """Tests for the crash-point fault-injection campaigns (repro.faults)."""
 
+import re
+
 import pytest
 
+from repro.common.constants import CACHELINE_SIZE
 from repro.common.errors import ConfigError
 from repro.faults import (
+    STATUS_CODES,
     CrashPointReached,
+    CrashWorkload,
     EventTap,
-    InjectionSchedule,
     LinkedListWorkload,
-    make_workload,
+    crash_points,
+    parse_points,
+    run_campaign,
     run_crashtest,
-    run_crashtest_campaign,
-    validator_for,
 )
-from repro.faults.campaign import STATUS_CODES, CampaignConfig, run_campaign
-from repro.persist.crash import CrashSimulator
+from repro.persist.crash import CrashReport, CrashSimulator
+
+
+def _campaign(datastore, **overrides):
+    """One G1 fast-profile campaign report, seed 7 unless overridden."""
+    overrides.setdefault("seed", 7)
+    (report,) = run_crashtest(1, "fast", datastore=datastore, **overrides)
+    return report
+
+
+def _count(report, status):
+    """Crash points of the campaign classified as ``status``."""
+    return report.get("status").count(STATUS_CODES[status])
+
+
+def _points(report):
+    """(points tested, events in the uncut workload), from the summary note."""
+    tested, total = re.search(r"(\d+)/(\d+) points", report.notes[0]).groups()
+    return int(tested), int(total)
 
 
 class TestInjectionSchedule:
     def test_exhaustive_covers_every_event(self):
-        schedule = InjectionSchedule.parse("exhaustive", seed=1)
-        assert schedule.points(5) == [0, 1, 2, 3, 4]
+        assert crash_points(parse_points("exhaustive"), 5, seed=1) == [0, 1, 2, 3, 4]
 
     def test_sample_is_deterministic_and_sorted(self):
-        schedule = InjectionSchedule.parse("sample:4", seed=42)
-        first = schedule.points(100)
-        second = InjectionSchedule.parse("sample:4", seed=42).points(100)
+        first = crash_points(parse_points("sample:4"), 100, seed=42)
+        second = crash_points(parse_points("sample:4"), 100, seed=42)
         assert first == second
         assert first == sorted(first)
         assert len(first) == 4
 
     def test_different_seeds_pick_different_points(self):
-        a = InjectionSchedule.parse("sample:5", seed=1).points(1000)
-        b = InjectionSchedule.parse("sample:5", seed=2).points(1000)
-        assert a != b
+        assert crash_points(5, 1000, seed=1) != crash_points(5, 1000, seed=2)
 
     def test_oversized_sample_degrades_to_exhaustive(self):
-        schedule = InjectionSchedule.parse("sample:50", seed=1)
-        assert schedule.points(7) == list(range(7))
+        assert crash_points(parse_points("sample:50"), 7, seed=1) == list(range(7))
 
     def test_parse_errors(self):
         for bad in ("bogus", "sample:", "sample:0", "sample:-3", "sample:x"):
             with pytest.raises(ConfigError):
-                InjectionSchedule.parse(bad, seed=1)
+                parse_points(bad)
 
     def test_describe_round_trips(self):
         for text in ("exhaustive", "sample:12"):
-            schedule = InjectionSchedule.parse(text, seed=3)
-            assert schedule.describe() == text
+            assert f"[{text}]" in _campaign("linkedlist", points=text).notes[0]
 
 
 class TestEventTap:
     def test_workload_replay_is_deterministic(self):
         def stream():
-            workload = make_workload("linkedlist", seed=11)
+            workload = LinkedListWorkload(seed=11)
             tap = EventTap(workload.checker)
             workload.run(tap)
             return [event.describe() for event in tap.events]
@@ -62,7 +77,7 @@ class TestEventTap:
         assert len(stream()) > 0
 
     def test_stop_at_raises_and_truncates(self):
-        workload = make_workload("linkedlist", seed=11)
+        workload = LinkedListWorkload(seed=11)
         tap = EventTap(workload.checker, stop_at=3)
         with pytest.raises(CrashPointReached):
             workload.run(tap)
@@ -71,48 +86,44 @@ class TestEventTap:
 
 class TestCampaigns:
     def test_linkedlist_exhaustive_has_zero_violations(self):
-        report = run_crashtest_campaign("linkedlist", points="exhaustive", seed=7)
-        assert report.points_tested == report.total_events
-        assert report.violations() == []
-        assert report.beyond_adr() == []
+        report = _campaign("linkedlist", points="exhaustive")
+        tested, total = _points(report)
+        assert tested == total
+        assert _count(report, "violation") == 0
+        assert _count(report, "beyond-adr-loss") == 0
 
     def test_btree_exhaustive_has_zero_violations(self):
-        report = run_crashtest_campaign("btree", points="exhaustive", seed=7)
-        assert report.points_tested == report.total_events
-        assert report.violations() == []
+        report = _campaign("btree", points="exhaustive")
+        tested, total = _points(report)
+        assert tested == total
+        assert _count(report, "violation") == 0
 
     def test_cceh_sampled_campaign_is_clean(self):
-        report = run_crashtest_campaign("cceh", points="sample:10", seed=7)
-        assert report.points_tested == 10
-        assert report.violations() == []
+        report = _campaign("cceh", points="sample:10")
+        assert _points(report)[0] == 10
+        assert _count(report, "violation") == 0
 
     def test_torn_xpline_losses_classified_beyond_adr(self):
-        report = run_crashtest_campaign(
-            "linkedlist", points="exhaustive", seed=7, fault_mode="torn-xpline"
-        )
+        report = _campaign("linkedlist", points="exhaustive", fault_mode="torn-xpline")
         # Tearing destroys data inside the ADR domain: that is media
         # corruption beyond what a missing barrier explains, so it must
         # never be reported as a flush-ordering violation.
-        assert report.violations() == []
-        assert len(report.beyond_adr()) > 0
+        assert _count(report, "violation") == 0
+        assert _count(report, "beyond-adr-loss") > 0
 
     def test_ait_miss_pressure_produces_beyond_adr_losses(self):
-        report = run_crashtest_campaign(
-            "linkedlist", points="exhaustive", seed=7, fault_mode="ait-miss"
-        )
-        assert report.violations() == []
-        assert len(report.beyond_adr()) > 0
+        report = _campaign("linkedlist", points="exhaustive", fault_mode="ait-miss")
+        assert _count(report, "violation") == 0
+        assert _count(report, "beyond-adr-loss") > 0
 
     def test_eadr_campaign_is_fully_clean(self):
-        report = run_crashtest_campaign(
-            "linkedlist", points="exhaustive", seed=7, fault_mode="eadr"
-        )
-        assert report.violations() == []
-        assert report.beyond_adr() == []
+        report = _campaign("linkedlist", points="exhaustive", fault_mode="eadr")
+        assert _count(report, "violation") == 0
+        assert _count(report, "beyond-adr-loss") == 0
 
     def test_unknown_fault_mode_and_datastore_raise(self):
         with pytest.raises(ConfigError):
-            run_crashtest_campaign("linkedlist", fault_mode="solar-flare")
+            run_crashtest(1, "fast", datastore="linkedlist", fault_mode="solar-flare")
         with pytest.raises(ConfigError):
             run_crashtest(1, "fast", datastore="heapfile")
 
@@ -125,6 +136,47 @@ class TestCampaigns:
         assert len(statuses) == 5
         assert all(value == STATUS_CODES["ok"] for value in statuses)
         assert any("0 violations" in note for note in report.notes)
+
+
+class _StubWorkload(CrashWorkload):
+    """A workload with no ops: a pre-set ledger and canned structural problems."""
+
+    name = "stub"
+    sizes = {"fast": 0}
+
+    def __init__(self, committed_lines, structural):
+        super().__init__()
+        self._structural = structural
+        for line in committed_lines:
+            self.checker.commit(line * CACHELINE_SIZE, CACHELINE_SIZE)
+
+    def _build(self):
+        """Nothing to allocate."""
+
+    def recover_and_check(self, report):
+        """The canned structural problems."""
+        return list(self._structural)
+
+
+class TestClassify:
+    @pytest.mark.parametrize("committed,lost,torn,structural,expected", [
+        pytest.param({5}, set(), set(), [], "ok", id="ok"),
+        pytest.param({5}, {5}, set(), [], "violation", id="cache-lost-committed"),
+        pytest.param(set(), set(), set(), ["broken"], "violation", id="structural-clean-loss"),
+        pytest.param({5}, set(), {5}, [], "beyond-adr-loss", id="torn-committed"),
+        pytest.param(set(), set(), {9}, ["broken"], "beyond-adr-loss", id="structural-and-torn"),
+    ])
+    def test_status_rule(self, committed, lost, torn, structural, expected):
+        report = CrashReport(
+            lost_pm_lines=frozenset(lost),
+            lost_dram_lines=frozenset(),
+            torn_pm_lines=frozenset(torn),
+            mode="torn-xpline" if torn else "power-loss",
+        )
+        status, problems = _StubWorkload(committed, structural).classify(report)
+        assert status == expected
+        assert (status == "ok") == (not problems)
+        assert all(problem in problems for problem in structural)
 
 
 class BrokenLinkedListWorkload(LinkedListWorkload):
@@ -152,46 +204,32 @@ class BrokenLinkedListWorkload(LinkedListWorkload):
             tap.next_op()
 
 
-def _make_broken(**kwargs):
-    """Factory for the deliberately broken workload (picklable)."""
-    kwargs.pop("ait_pressure", None)
-    kwargs.pop("eadr", None)
-    kwargs.pop("profile", None)
-    return BrokenLinkedListWorkload(**kwargs)
-
-
 class TestBrokenFixtureIsCaught:
     def test_broken_flush_ordering_is_pinpointed(self):
-        config = CampaignConfig(
-            name="broken-linkedlist",
-            factory=_make_broken,
-            validator=validator_for("linkedlist"),
-            schedule=InjectionSchedule.parse("exhaustive", seed=7),
-            seed=7,
+        report = run_campaign(
+            lambda: BrokenLinkedListWorkload(seed=7), "broken-linkedlist", seed=7
         )
-        report = run_campaign(config)
-        violations = report.violations()
-        assert violations, "campaign failed to catch a missing-flush bug"
-        first = report.first_violation()
+        statuses = report.get("status")
+        assert STATUS_CODES["violation"] in statuses, (
+            "campaign failed to catch a missing-flush bug"
+        )
         # The very first claim happens at event 0 (the op's store); the
         # next event fires with the claim still cache-dirty, so the
         # earliest violating crash point is pinned to event index 1.
-        assert first is not None
-        assert first.point == 1
-        assert "store" in first.event
-        assert any("lost" in problem for problem in first.problems)
-        assert "first violation" in report.summary()
+        assert report.x_values[statuses.index(STATUS_CODES["violation"])] == 1
+        assert "first violation at #1 store" in report.notes[0]
+        assert any("lost" in note for note in report.notes[1:])
 
 
 class TestCrashSimulatorDisarm:
     def test_recovery_after_crash_does_not_retrip_the_tap(self):
-        workload = make_workload("linkedlist", seed=7)
+        workload = LinkedListWorkload(seed=7)
         tap = EventTap(workload.checker, stop_at=2)
         with pytest.raises(CrashPointReached):
             workload.run(tap)
         tap.stop_at = None
         report = CrashSimulator(workload.machine).power_failure(now=workload.core.now)
-        status, problems = validator_for("linkedlist").validate(workload, report)
+        status, problems = workload.classify(report)
         assert status == "ok"
         assert not problems
 

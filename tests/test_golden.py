@@ -25,8 +25,8 @@ A refactor that claims not to change the model must keep every digest.
 The table changes only with a declared model change that names each
 moved digest and why; it is never regenerated to make a failure go
 away.  Experiments whose two generations run in under about 5 s
-together are checked in tier-1, the rest in tier-2 (``slow``); of the
-crash campaigns, ``power-loss`` is tier-1 and the other modes ``slow``.
+together are checked in tier-1, the rest in tier-2 (``slow``); every
+crash campaign, in every fault mode, is tier-1.
 """
 
 import hashlib
@@ -75,12 +75,9 @@ def test_report_digest_is_unchanged(name, generation, expected):
 def _crash_cases():
     for name, per_mode in GOLDEN["crash"].items():
         for mode, per_generation in per_mode.items():
-            marks = [] if mode == "power-loss" else [pytest.mark.slow]
             for key, expected in per_generation.items():
                 generation = int(key.removeprefix("g"))
-                yield pytest.param(
-                    name, mode, generation, expected, marks=marks, id=f"{name}-{mode}-{key}"
-                )
+                yield pytest.param(name, mode, generation, expected, id=f"{name}-{mode}-{key}")
 
 
 @pytest.mark.parametrize("name,mode,generation,expected", list(_crash_cases()))
