@@ -8,13 +8,7 @@ from repro.core.microbench.interleave import (
 )
 from repro.core.microbench.pointer_chase import ChaseResult, PointerChaseBench
 from repro.core.microbench.prefetch_probe import PrefetchProbeResult, run_prefetch_probe
-from repro.core.microbench.rap import (
-    FIGURE7_PANELS,
-    RapCurve,
-    RapPoint,
-    rap_curve,
-    run_rap_iterations,
-)
+from repro.core.microbench.rap import FIGURE7_PANELS, run_rap_iterations
 from repro.core.microbench.strided_read import StridedReadResult, run_strided_read
 from repro.core.microbench.write_amp import (
     WriteAmplificationResult,
@@ -33,9 +27,6 @@ __all__ = [
     "PrefetchProbeResult",
     "run_prefetch_probe",
     "FIGURE7_PANELS",
-    "RapCurve",
-    "RapPoint",
-    "rap_curve",
     "run_rap_iterations",
     "StridedReadResult",
     "run_strided_read",

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.units import kib
+from repro.system.machine import Machine
 from repro.system.presets import machine_for
 
 
@@ -123,19 +124,18 @@ class TransitionResult:
 
 
 def run_transition_probe(
-    generation: int,
+    machine: Machine,
     wss: int = kib(8),
     passes: int = 4,
     write_first: bool = True,
 ) -> TransitionResult:
-    """Section 3.3 transition experiment on a fresh machine.
+    """Section 3.3 transition experiment on ``machine`` (fresh, prefetchers off).
 
     ``write_first=True`` reproduces the paper's ordering (one nt-store
     to the first cacheline of each XPLine followed by three reads);
     ``False`` reads first, making the subsequent write land on a
     read-buffered XPLine and exercising the adoption path.
     """
-    machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
     core = machine.new_core()
     base = machine.region_spec("pm").base
     n_xplines = wss // XPLINE_SIZE

@@ -10,47 +10,10 @@ long flushes remain incomplete after the fence returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import CACHELINE_SIZE
 from repro.common.units import kib
 from repro.persist.persistency import FenceKind, FlushKind
 from repro.system.machine import Machine
-from repro.system.presets import machine_for
-
-
-@dataclass(frozen=True)
-class RapPoint:
-    """Average per-iteration cycles at one RAP distance."""
-
-    distance: int
-    cycles_per_iteration: float
-
-
-@dataclass(frozen=True)
-class RapCurve:
-    """One configuration's latency-vs-distance curve."""
-
-    generation: int
-    region: str
-    flush: FlushKind
-    fence: FenceKind
-    points: tuple[RapPoint, ...]
-
-    @property
-    def label(self) -> str:
-        """Legend label as the paper prints it."""
-        memory = "PM" if self.region.startswith("pm") else "DRAM"
-        locality = "remote" if self.region.endswith("remote") else "local"
-        return f"{locality} {memory} {self.flush.value}+{self.fence.value}"
-
-    def at(self, distance: int) -> float:
-        """Cycles/iteration at ``distance`` (KeyError if not measured)."""
-        for point in self.points:
-            if point.distance == distance:
-                return point.cycles_per_iteration
-        raise KeyError(distance)
 
 
 def run_rap_iterations(
@@ -84,29 +47,6 @@ def run_rap_iterations(
             core.load(base + read_offset * CACHELINE_SIZE, 8)
             iterations += 1
     return (core.now - start) / iterations
-
-
-def rap_curve(
-    generation: int,
-    region: str,
-    flush: FlushKind,
-    fence: FenceKind,
-    distances: tuple[int, ...] = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 40),
-    wss: int = kib(4),
-    passes: int = 40,
-) -> RapCurve:
-    """Measure one full curve, fresh machine per distance point."""
-    points = []
-    for distance in distances:
-        machine = machine_for(
-            generation,
-            prefetchers=PrefetcherConfig.none(),
-            remote_pm=True,
-            remote_dram=True,
-        )
-        cycles = run_rap_iterations(machine, region, flush, fence, distance, wss, passes)
-        points.append(RapPoint(distance, cycles))
-    return RapCurve(generation, region, flush, fence, tuple(points))
 
 
 #: The eight panels of Figure 7: (region, [(flush, fence), ...]).

@@ -1,9 +1,8 @@
 """Per-figure/table experiment harnesses (see DESIGN.md's index).
 
-Each module exposes ``run(...)`` returning :class:`ExperimentReport`
-objects (or typed rows) and can be executed directly::
-
-    python -m repro.experiments.fig02
+Each experiment module exposes ``run(generation, profile) ->
+list[ExperimentReport]``, which :mod:`repro.runner.registry` schedules
+directly; run one from the command line with ``repro run fig2``.
 """
 
 from repro.experiments.common import (

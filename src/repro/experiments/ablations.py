@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.units import kib
+from repro.core.microbench.interleave import run_transition_probe
 from repro.core.microbench.write_amp import run_write_amplification
 from repro.dimm.config import OptaneDimmConfig
 from repro.experiments.common import ExperimentReport
@@ -28,7 +29,7 @@ def _machine(**optane_overrides):
     return g1_machine(prefetchers=PrefetcherConfig.none(), optane=config)
 
 
-def ablate_write_buffer_eviction(wss_points: list[int] | None = None) -> ExperimentReport:
+def ablate_write_buffer_eviction() -> ExperimentReport:
     """Random vs FIFO eviction under *cyclic sequential* partial writes.
 
     Cyclic reuse is FIFO's worst case: every line is evicted right
@@ -36,7 +37,7 @@ def ablate_write_buffer_eviction(wss_points: list[int] | None = None) -> Experim
     random eviction keeps a share of survivors — the graceful decay of
     Figure 4 that led the paper to infer random eviction.
     """
-    wss_points = wss_points or [kib(k) for k in (8, 12, 14, 16, 20, 24)]
+    wss_points = [kib(k) for k in (8, 12, 14, 16, 20, 24)]
     report = ExperimentReport(
         experiment_id="ablation-wbuf-eviction",
         title="Write-buffer hit ratio, cyclic partial writes",
@@ -100,27 +101,10 @@ def ablate_transition() -> ExperimentReport:
         x_values=["rmw_avoided", "media/iMC traffic"],
     )
     for enabled in (True, False):
-        machine_cfg = OptaneDimmConfig.g1(enable_transition=enabled)
-        # run_transition_probe builds its own machine; inline a variant.
-        machine = g1_machine(prefetchers=PrefetcherConfig.none(), optane=machine_cfg)
-        core = machine.new_core()
-        base = machine.region_spec("pm").base
-        n_xplines = kib(8) // XPLINE_SIZE
-        snapshot = machine.pm_counters().snapshot()
-        for _ in range(4):
-            for index in range(n_xplines):
-                xpline_base = base + index * XPLINE_SIZE
-                for slot in (1, 2, 3):
-                    addr = xpline_base + slot * CACHELINE_SIZE
-                    core.load(addr, 8)
-                    core.clflushopt(addr)
-                core.nt_store(xpline_base, CACHELINE_SIZE)
-        delta = machine.pm_counters().delta(snapshot)
-        imc = delta.imc_read_bytes + delta.imc_write_bytes
-        media = delta.media_read_bytes + delta.media_write_bytes
+        result = run_transition_probe(_machine(enable_transition=enabled), write_first=False)
         report.add_series(
             "with transition" if enabled else "without transition",
-            [float(delta.rmw_avoided), media / imc if imc else 0.0],
+            [float(result.rmw_avoided), result.media_traffic_fraction],
         )
     return report
 
@@ -165,8 +149,8 @@ def ablate_sfence_window() -> ExperimentReport:
     return report
 
 
-def run_all() -> list[ExperimentReport]:
-    """All ablations, in report order (the ``ablations`` experiment)."""
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
+    """All ablations, in report order; G1 only and profile-independent (both arguments are unused)."""
     return [
         ablate_write_buffer_eviction(),
         ablate_periodic_writeback(),

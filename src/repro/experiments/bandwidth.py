@@ -67,7 +67,7 @@ def measure_bandwidth(
     return total_bytes / seconds / 1e9
 
 
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Bandwidth vs thread count for the three access kinds on PM."""
     check_profile(profile)
     threads_list = [1, 2, 4, 8] if profile == "fast" else [1, 2, 4, 8, 12, 16]
@@ -84,4 +84,4 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
             for threads in threads_list
         ]
         report.add_series(kind, values)
-    return report
+    return [report]

@@ -50,10 +50,8 @@ class ExperimentReport:
 
     ``x_is_size`` controls x-axis rendering in :meth:`to_csv` and
     :meth:`render`: ``True`` pretty-prints integer x values >= 1 KiB
-    as sizes ("16KB"), ``False`` prints them verbatim, and ``None``
-    (the default) falls back to a label heuristic — labels starting
-    with "w" (e.g. "WSS") are treated as byte-valued.  Experiments
-    with byte-valued axes should set the flag explicitly.
+    as sizes ("16KB"); ``False`` and ``None`` (the default) print them
+    verbatim.  Experiments with byte-valued axes set the flag.
     """
 
     experiment_id: str
@@ -100,10 +98,7 @@ class ExperimentReport:
 
     def _format_x(self, x) -> str:
         """Render one x value, honouring the ``x_is_size`` flag."""
-        as_size = self.x_is_size
-        if as_size is None:  # legacy heuristic: "WSS"-style labels are bytes
-            as_size = self.x_label.lower().startswith("w")
-        if as_size and isinstance(x, int) and not isinstance(x, bool) and x >= 1024:
+        if self.x_is_size and isinstance(x, int) and not isinstance(x, bool) and x >= 1024:
             return fmt_size(x)
         return str(x)
 

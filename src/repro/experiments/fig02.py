@@ -18,7 +18,7 @@ from repro.system.presets import machine_for
 SERIES_CPX = (4, 3, 2, 1)
 
 
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Reproduce Figure 2 for one Optane generation: RA over WSS, one curve per CpX."""
     check_profile(profile)
     cycles = 4 if profile == "fast" else 8
@@ -38,4 +38,4 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
         report.add_series(f"read {cpx} cacheline{'s' if cpx > 1 else ''}", values)
     buffer_kib = machine_for(generation).config.optane.read_buffer_bytes // kib(1)
     report.notes.append(f"read buffer capacity (config): {buffer_kib} KB")
-    return report
+    return [report]

@@ -19,7 +19,7 @@ from repro.system.presets import machine_for
 SERIES_WRITTEN = (4, 3, 2, 1)
 
 
-def run(generation: int = 1, profile: str = "fast", random_across_xplines: bool = False) -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Reproduce Figure 3 for one generation: WA over WSS, one curve per write fraction."""
     check_profile(profile)
     passes = 6 if profile == "fast" else 10
@@ -34,12 +34,8 @@ def run(generation: int = 1, profile: str = "fast", random_across_xplines: bool 
         values = []
         for wss in report.x_values:
             machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
-            result = run_write_amplification(
-                machine, wss, written, passes=passes, random_across_xplines=random_across_xplines
-            )
+            result = run_write_amplification(machine, wss, written, passes=passes)
             values.append(result.write_amplification)
         report.add_series(f"{written * 25}% write", values)
-    report.notes.append(
-        "access order across XPLines: " + ("random" if random_across_xplines else "sequential")
-    )
-    return report
+    report.notes.append("access order across XPLines: sequential")
+    return [report]

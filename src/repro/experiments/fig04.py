@@ -13,8 +13,8 @@ from repro.experiments.common import ExperimentReport, buffer_wss_grid, check_pr
 from repro.system.presets import machine_for
 
 
-def run(profile: str = "fast") -> ExperimentReport:
-    """Reproduce Figure 4 (both generations on one axis, as the paper)."""
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
+    """Reproduce Figure 4: both generations on one axis, as the paper (``generation`` is unused)."""
     check_profile(profile)
     wss_points = buffer_wss_grid(step_kib=2 if profile == "fast" else 1, max_kib=32)
     writes = 8 if profile == "fast" else 16
@@ -25,11 +25,11 @@ def run(profile: str = "fast") -> ExperimentReport:
         x_values=wss_points,
         x_is_size=True,
     )
-    for generation in (1, 2):
+    for gen in (1, 2):
         values = []
         for wss in wss_points:
-            machine = machine_for(generation, prefetchers=PrefetcherConfig.none())
+            machine = machine_for(gen, prefetchers=PrefetcherConfig.none())
             result = run_write_hit_ratio(machine, wss, writes_per_xpline_avg=writes)
             values.append(result.inferred_hit_ratio)
-        report.add_series(f"G{generation} Optane", values)
-    return report
+        report.add_series(f"G{gen} Optane", values)
+    return [report]

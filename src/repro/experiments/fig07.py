@@ -11,8 +11,10 @@ shows the same shape compressed to ~2×.
 
 from __future__ import annotations
 
-from repro.core.microbench.rap import FIGURE7_PANELS, rap_curve
+from repro.cache.prefetch import PrefetcherConfig
+from repro.core.microbench.rap import FIGURE7_PANELS, run_rap_iterations
 from repro.experiments.common import ExperimentReport, check_profile
+from repro.system.presets import machine_for
 
 _FAST_DISTANCES = (0, 1, 2, 4, 8, 16, 32, 40)
 _FULL_DISTANCES = (0, 1, 2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 40)
@@ -31,8 +33,13 @@ def run_panel(generation: int, region: str, profile: str = "fast") -> Experiment
         x_values=list(distances),
     )
     for flush, fence in specs:
-        curve = rap_curve(generation, region, flush, fence, distances, passes=passes)
-        report.add_series(f"{flush.value}+{fence.value}", [p.cycles_per_iteration for p in curve.points])
+        values = []
+        for distance in distances:
+            machine = machine_for(
+                generation, prefetchers=PrefetcherConfig.none(), remote_pm=True, remote_dram=True
+            )
+            values.append(run_rap_iterations(machine, region, flush, fence, distance, passes=passes))
+        report.add_series(f"{flush.value}+{fence.value}", values)
     return report
 
 

@@ -16,80 +16,62 @@ from repro.persist.persistency import PersistencyModel
 from repro.system.presets import machine_for
 
 
-def _bench(generation: int, wss: int, sequential: bool) -> PointerChaseBench:
-    machine = machine_for(generation)
-    return PointerChaseBench(machine, wss, sequential)
-
-
-def run_panel_strict(generation: int = 1, profile: str = "fast") -> ExperimentReport:
-    """Panel (a): strict persistency, clwb vs nt-store, seq vs random."""
-    return _run_persist_panel(generation, profile, PersistencyModel.STRICT, "a")
-
-
-def run_panel_relaxed(generation: int = 1, profile: str = "fast") -> ExperimentReport:
-    """Panel (b): relaxed persistency (fence once per pass)."""
-    return _run_persist_panel(generation, profile, PersistencyModel.RELAXED, "b")
-
-
-def _run_persist_panel(
-    generation: int, profile: str, model: PersistencyModel, panel: str
+def _panel(
+    generation: int,
+    profile: str,
+    panel: str,
+    title: str,
+    curves: list[tuple[str, bool, str, PersistencyModel]],
 ) -> ExperimentReport:
+    """One Figure 8 panel; ``curves`` lists (series name, sequential, mode, model)."""
     check_profile(profile)
     wss_points = wide_wss_grid(profile)
     max_ops = 5_000 if profile == "fast" else 40_000
     warmup_cap = 60_000 if profile == "fast" else 150_000
     report = ExperimentReport(
         experiment_id=f"fig8{panel}-g{generation}",
-        title=f"Write with {model.value} persistency (G{generation}), cycles/element",
+        title=title,
         x_label="WSS",
         x_values=wss_points,
         x_is_size=True,
     )
-    for sequential in (True, False):
-        for mode in ("clwb", "nt-store"):
-            values = []
-            for wss in wss_points:
-                bench = _bench(generation, wss, sequential)
-                values.append(
-                    bench.run(mode, model, max_ops=max_ops, warmup_cap=warmup_cap).cycles_per_element
-                )
-            order = "seq" if sequential else "rand"
-            report.add_series(f"{order}_{mode}", values)
+    for name, sequential, mode, model in curves:
+        values = []
+        for wss in wss_points:
+            bench = PointerChaseBench(machine_for(generation), wss, sequential)
+            values.append(
+                bench.run(mode, model, max_ops=max_ops, warmup_cap=warmup_cap).cycles_per_element
+            )
+        report.add_series(name, values)
     return report
 
 
-def run_panel_breakdown(generation: int = 1, profile: str = "fast") -> ExperimentReport:
-    """Panel (c): pure reads vs pure writes."""
-    check_profile(profile)
-    wss_points = wide_wss_grid(profile)
-    max_ops = 5_000 if profile == "fast" else 40_000
-    warmup_cap = 60_000 if profile == "fast" else 150_000
-    report = ExperimentReport(
-        experiment_id=f"fig8c-g{generation}",
-        title=f"Latency breakdown of pure reads and writes (G{generation})",
-        x_label="WSS",
-        x_values=wss_points,
-        x_is_size=True,
-    )
-    for sequential in (True, False):
-        order = "seq" if sequential else "rand"
-        for mode, label in (("read", f"{order}_rd"), ("write", f"{order}_wr")):
-            values = []
-            for wss in wss_points:
-                bench = _bench(generation, wss, sequential)
-                values.append(
-                    bench.run(
-                        mode, PersistencyModel.STRICT, max_ops=max_ops, warmup_cap=warmup_cap
-                    ).cycles_per_element
-                )
-            report.add_series(label, values)
-    return report
+def _curves(
+    model: PersistencyModel, modes: tuple[tuple[str, str], ...]
+) -> list[tuple[str, bool, str, PersistencyModel]]:
+    """Sequential then random curves, one per (mode, series-name suffix)."""
+    return [
+        (f"{order}_{suffix}", sequential, mode, model)
+        for order, sequential in (("seq", True), ("rand", False))
+        for mode, suffix in modes
+    ]
 
 
 def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
-    """All three panels of Figure 8."""
+    """All three panels of Figure 8.
+
+    (a) strict persistency, clwb vs nt-store; (b) the same under
+    relaxed persistency (fence once per pass); (c) pure reads vs pure
+    writes.  Every panel has sequential and random curves.
+    """
+    strict, relaxed = PersistencyModel.STRICT, PersistencyModel.RELAXED
+    writes = (("clwb", "clwb"), ("nt-store", "nt-store"))
+    breakdown = (("read", "rd"), ("write", "wr"))
     return [
-        run_panel_strict(generation, profile),
-        run_panel_relaxed(generation, profile),
-        run_panel_breakdown(generation, profile),
+        _panel(generation, profile, "a", f"Write with {strict.value} persistency (G{generation}), "
+               "cycles/element", _curves(strict, writes)),
+        _panel(generation, profile, "b", f"Write with {relaxed.value} persistency (G{generation}), "
+               "cycles/element", _curves(relaxed, writes)),
+        _panel(generation, profile, "c", f"Latency breakdown of pure reads and writes (G{generation})",
+               _curves(strict, breakdown)),
     ]

@@ -63,7 +63,7 @@ def run_mode(
     return latency, throughput
 
 
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Reproduce one generation's Figure 12 panels (single DIMM)."""
     check_profile(profile)
     threads_list = [1, 3, 5, 7, 9] if profile == "full" else [1, 3, 5]
@@ -90,4 +90,4 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     )
     for name, values in data.items():
         report.add_series(name, values)
-    return report
+    return [report]

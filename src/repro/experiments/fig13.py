@@ -13,7 +13,7 @@ from repro.experiments.common import ExperimentReport, check_profile, wide_wss_g
 from repro.system.presets import machine_for
 
 
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Reproduce one panel of Figure 13 (default prefetchers enabled)."""
     check_profile(profile)
     wss_points = wide_wss_grid(profile)
@@ -38,4 +38,4 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     report.add_series("iMC with prefetching", imc_baseline)
     report.add_series("PM with prefetching", pm_baseline)
     report.add_series("Optimized PM", pm_redirect)
-    return report
+    return [report]

@@ -61,7 +61,7 @@ def run_point(
     return latency, throughput_gbs
 
 
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Reproduce one generation's Figure 14 panels."""
     check_profile(profile)
     threads_list = [1, 4, 8, 12, 16] if profile == "fast" else [1, 2, 4, 8, 12, 16, 20, 24]
@@ -87,4 +87,4 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
     )
     for name, values in data.items():
         report.add_series(name, values)
-    return report
+    return [report]

@@ -33,7 +33,7 @@ def _random_read_latency(generation: int, dimms: int, samples: int = 2_000) -> f
     return (core.now - start) / samples
 
 
-def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
     """Latency and bandwidth, 1 vs 6 DIMMs."""
     check_profile(profile)
     samples = 1_500 if profile == "fast" else 6_000
@@ -55,4 +55,4 @@ def run(generation: int = 1, profile: str = "fast") -> ExperimentReport:
             for dimms in (1, 6)
         ],
     )
-    return report
+    return [report]

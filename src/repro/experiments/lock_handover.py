@@ -19,8 +19,8 @@ from repro.system.presets import machine_for
 _SCENARIOS = ("pm", "pm_remote", "dram")
 
 
-def run(profile: str = "fast") -> ExperimentReport:
-    """Acquire latency per handover, 2 contending threads."""
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
+    """Acquire latency per handover, 2 contending threads, on G1 and G2 (``generation`` is unused)."""
     check_profile(profile)
     rounds = 200 if profile == "fast" else 1_000
     report = ExperimentReport(
@@ -29,11 +29,11 @@ def run(profile: str = "fast") -> ExperimentReport:
         x_label="region",
         x_values=list(_SCENARIOS),
     )
-    for generation in (1, 2):
+    for gen in (1, 2):
         values = []
         for region in _SCENARIOS:
             machine = machine_for(
-                generation,
+                gen,
                 prefetchers=PrefetcherConfig.none(),
                 remote_pm=True,
                 remote_dram=True,
@@ -42,5 +42,5 @@ def run(profile: str = "fast") -> ExperimentReport:
             lock = PersistentLock(allocator)
             cores = [machine.new_core(f"t{i}") for i in range(2)]
             values.append(measure_handover(lock, cores, rounds))
-        report.add_series(f"G{generation}", values)
-    return report
+        report.add_series(f"G{gen}", values)
+    return [report]

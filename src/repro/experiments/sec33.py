@@ -9,43 +9,25 @@ write buffer, writes adopting read-buffered XPLines).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.microbench.interleave import (
-    SeparationResult,
-    TransitionResult,
-    run_separation_probe,
-    run_transition_probe,
-)
+from repro.cache.prefetch import PrefetcherConfig
+from repro.core.microbench.interleave import run_separation_probe, run_transition_probe
 from repro.experiments.common import ExperimentReport, check_profile
+from repro.system.presets import machine_for
 
 
-@dataclass
-class Sec33Result:
-    """Both probes for one generation."""
-
-    generation: int
-    separation: SeparationResult
-    transition_write_first: TransitionResult
-    transition_read_first: TransitionResult
-
-
-def run(generation: int = 1, profile: str = "fast") -> Sec33Result:
-    """Run both Section 3.3 probes."""
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
+    """Run both Section 3.3 probes and render their numbers as a two-column table."""
     check_profile(profile)
     passes = 4 if profile == "fast" else 8
-    return Sec33Result(
-        generation=generation,
-        separation=run_separation_probe(generation, passes=passes),
-        transition_write_first=run_transition_probe(generation, passes=passes, write_first=True),
-        transition_read_first=run_transition_probe(generation, passes=passes, write_first=False),
+    sep = run_separation_probe(generation, passes=passes)
+    write_first = run_transition_probe(
+        machine_for(generation, prefetchers=PrefetcherConfig.none()), passes=passes, write_first=True
     )
-
-
-def as_report(result: Sec33Result) -> ExperimentReport:
-    """Render the probe numbers as a two-column table."""
+    read_first = run_transition_probe(
+        machine_for(generation, prefetchers=PrefetcherConfig.none()), passes=passes, write_first=False
+    )
     report = ExperimentReport(
-        experiment_id=f"sec33-g{result.generation}",
+        experiment_id=f"sec33-g{generation}",
         title="Buffer separation and XPLine transition",
         x_label="metric",
         x_values=[
@@ -58,8 +40,6 @@ def as_report(result: Sec33Result) -> ExperimentReport:
             "write-first transition media/iMC traffic",
         ],
     )
-    sep = result.separation
-    trans = result.transition_read_first
     report.add_series(
         "value",
         [
@@ -67,10 +47,10 @@ def as_report(result: Sec33Result) -> ExperimentReport:
             sep.baseline_read_amplification,
             float(sep.interleaved_media_write_bytes),
             float(sep.baseline_media_write_bytes),
-            trans.media_traffic_fraction,
-            float(trans.rmw_avoided),
-            result.transition_write_first.media_traffic_fraction,
+            read_first.media_traffic_fraction,
+            float(read_first.rmw_avoided),
+            write_first.media_traffic_fraction,
         ],
     )
     report.notes.append(f"buffers_are_separate = {sep.buffers_are_separate}")
-    return report
+    return [report]

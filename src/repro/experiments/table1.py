@@ -8,8 +8,6 @@ is a *random read*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.experiments.cceh_harness import run_config
 from repro.experiments.common import ExperimentReport, check_profile
 
@@ -24,23 +22,12 @@ _COLUMNS = ("Segment metadata", "Persists", "Misc.")
 CONFIGS = ((1, 1), (5, 1), (1, 6), (5, 6))
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """One configuration's breakdown (fractions summing to 1)."""
-
-    threads: int
-    dimms: int
-    segment_metadata: float
-    persists: float
-    misc: float
-
-
-def run(generation: int = 1, profile: str = "fast") -> list[Table1Row]:
-    """Reproduce Table 1 for one generation."""
+def run(generation: int = 1, profile: str = "fast") -> list[ExperimentReport]:
+    """Reproduce Table 1 for one generation, printed the way the paper prints it."""
     check_profile(profile)
     prepopulate = 250_000 if profile == "fast" else 1_000_000
     inserts = 15_000 if profile == "fast" else 60_000
-    rows = []
+    columns: dict[str, list[float]] = {column: [] for column in _COLUMNS}
     for threads, dimms in CONFIGS:
         result = run_config(
             generation,
@@ -54,27 +41,14 @@ def run(generation: int = 1, profile: str = "fast") -> list[Table1Row]:
             {name: _COLUMN_OF.get(name, "Misc.") for name in ("segment", "persist", "directory", "bucket", "compute", "split")}
         )
         fractions = folded.fractions()
-        rows.append(
-            Table1Row(
-                threads=threads,
-                dimms=dimms,
-                segment_metadata=fractions.get("Segment metadata", 0.0),
-                persists=fractions.get("Persists", 0.0),
-                misc=fractions.get("Misc.", 0.0),
-            )
-        )
-    return rows
-
-
-def as_report(rows: list[Table1Row], generation: int = 1) -> ExperimentReport:
-    """Render the rows the way the paper prints Table 1."""
+        for column, values in columns.items():
+            values.append(fractions.get(column, 0.0) * 100)
     report = ExperimentReport(
         experiment_id=f"table1-g{generation}",
         title="Time breakdown of key insertion in CCEH (%)",
         x_label="Thread/DIMM",
-        x_values=[f"{row.threads}T/{row.dimms}-DIMM" for row in rows],
+        x_values=[f"{threads}T/{dimms}-DIMM" for threads, dimms in CONFIGS],
     )
-    report.add_series("Segment metadata", [row.segment_metadata * 100 for row in rows])
-    report.add_series("Persists", [row.persists * 100 for row in rows])
-    report.add_series("Misc.", [row.misc * 100 for row in rows])
-    return report
+    for column, values in columns.items():
+        report.add_series(column, values)
+    return [report]

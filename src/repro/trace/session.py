@@ -4,11 +4,11 @@ Experiments construct their machines internally (often one per sweep
 point), so tracing cannot be wired by handing a tracer to a specific
 ``Machine``.  Instead — like ETW or ``perf`` — a *session* is ambient:
 
-    from repro.trace import session
+    from repro.trace import session, to_chrome_trace
 
     with session(interval=1000) as sess:
         reports = fig07.run(1, "fast")        # unmodified experiment
-    sess.chrome_trace()                        # every machine captured
+    to_chrome_trace(sess.tracer)               # every machine captured
 
 While a session is active, :class:`~repro.system.machine.Machine`
 construction calls :func:`attach_if_active`, which gives the machine
@@ -143,12 +143,6 @@ class TraceSession:
     def dropped_rows(self) -> int:
         """Total sampler rows discarded over the row cap."""
         return sum(sampler.dropped for sampler in self.samplers)
-
-    def chrome_trace(self, cycles_per_us: float = 1000.0) -> dict:
-        """The session's events as a Chrome trace dict (see emit.py)."""
-        from repro.trace.emit import to_chrome_trace
-
-        return to_chrome_trace(self.tracer, cycles_per_us)
 
     def summary(self) -> str:
         """One-line human summary (the CLI prints this after a trace)."""

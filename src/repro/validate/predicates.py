@@ -218,22 +218,6 @@ def within(lo: float, hi: float, at_x=None, x_min=None, x_max=None) -> Predicate
     return check
 
 
-def value_approx(at_x, target: float, rel: float = 0.1) -> Predicate:
-    """The value at ``at_x`` is within ``rel`` (relative) of ``target``."""
-
-    def check(curve: Curve) -> PredicateResult:
-        value = curve.y_at(at_x)
-        bound = abs(target) * rel
-        return PredicateResult(
-            abs(value - target) <= bound,
-            f"{_fmt(value)} at x={at_x}",
-            f"{_fmt(target)} +/- {rel:.0%}",
-            {"value": value, "target": target},
-        )
-
-    return check
-
-
 def flat_wrt_wss(rel_tol: float = 0.15, x_min=None, x_max=None) -> Predicate:
     """The curve's spread stays within ``rel_tol`` of its mean.
 

@@ -94,7 +94,7 @@ class TestBtreeRemove:
 
 class TestCsvExport:
     def make(self):
-        report = ExperimentReport("t", "demo", "WSS", [4096, 8192])
+        report = ExperimentReport("t", "demo", "WSS", [4096, 8192], x_is_size=True)
         report.add_series("plain", [1.5, 2.5])
         report.add_series("with,comma", [3.0, 4.0])
         return report

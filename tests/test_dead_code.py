@@ -25,6 +25,11 @@ module under ``src/repro`` stores on ``self`` is read somewhere in
 ``src/``, ``tests/``, ``examples/`` or ``perfbench/``, as an attribute
 load (``obj.name``; an augmented assignment such as ``self.name += 1``
 is a store only) or as a ``getattr(obj, "name")`` string.
+
+A fifth rule catches dead methods that the third rule's word match
+lets through when the name is a common word: every public method of a
+top-level class under ``src/repro`` is loaded as an attribute somewhere
+in the same four trees, by the same test as the fourth rule.
 """
 
 import ast
@@ -108,18 +113,23 @@ def test_every_private_top_level_def_is_used():
     assert not dead, "unreferenced private top-level defs: " + ", ".join(dead)
 
 
-def _public_defs(tree: ast.Module):
-    """Yield (name, line) for public top-level defs and public methods."""
+def _public_methods(tree: ast.Module):
+    """Yield (name, line) for each public method of a top-level class."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if not node.name.startswith("_"):
-            yield node.name, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not item.name.startswith("_")):
                     yield item.name, item.lineno
+
+
+def _public_defs(tree: ast.Module):
+    """Yield (name, line) for public top-level defs and public methods."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.lineno
+    yield from _public_methods(tree)
 
 
 def _word_counts(path: pathlib.Path) -> Counter:
@@ -175,11 +185,16 @@ def _loaded_attributes(tree: ast.Module):
             yield node.args[1].value
 
 
-def test_every_public_self_attribute_is_read():
+def _all_loaded_attributes() -> set[str]:
     loaded: set[str] = set()
     for tree_root in ("src", "tests", "examples", "perfbench"):
         for path in (ROOT / tree_root).rglob("*.py"):
             loaded.update(_loaded_attributes(_parse(path)))
+    return loaded
+
+
+def test_every_public_self_attribute_is_read():
+    loaded = _all_loaded_attributes()
     dead = sorted({
         f"{_rel(path)}:{line} self.{name}"
         for path in sorted(SRC.rglob("*.py"))
@@ -187,3 +202,14 @@ def test_every_public_self_attribute_is_read():
         if name not in loaded
     })
     assert not dead, "public attributes stored but never read: " + ", ".join(dead)
+
+
+def test_every_public_method_is_loaded_as_an_attribute():
+    loaded = _all_loaded_attributes()
+    dead = [
+        f"{_rel(path)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in _public_methods(_parse(path))
+        if name not in loaded
+    ]
+    assert not dead, "public methods never loaded as an attribute: " + ", ".join(dead)

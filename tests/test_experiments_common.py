@@ -17,7 +17,7 @@ from repro.system.presets import g1_machine, g2_machine, machine_for
 
 class TestExperimentReport:
     def make(self):
-        report = ExperimentReport("t1", "title", "WSS", [kib(4), kib(8)])
+        report = ExperimentReport("t1", "title", "WSS", [kib(4), kib(8)], x_is_size=True)
         report.add_series("a", [1.0, 2.0])
         report.add_series("b", [3.0, 4.0])
         return report
@@ -46,7 +46,7 @@ class TestExperimentReport:
         assert "3.00" in text
 
     def test_render_formats_sizes(self):
-        report = ExperimentReport("t", "t", "WSS", [mib(16)])
+        report = ExperimentReport("t", "t", "WSS", [mib(16)], x_is_size=True)
         report.add_series("s", [1.0])
         assert "16MB" in report.render()
 

@@ -104,7 +104,7 @@ class TestSec33Separation:
         assert result.interleaved_media_write_bytes == 0
 
     def test_read_first_transition_avoids_rmw(self):
-        result = run_transition_probe(1, write_first=False)
+        result = run_transition_probe(quiet(), write_first=False)
         assert result.rmw_avoided > 0
 
 

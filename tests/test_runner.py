@@ -145,11 +145,6 @@ class TestFormatX:
         assert "16384" in report.render()
         assert "16KB" not in report.render()
 
-    def test_legacy_heuristic_still_applies_when_unset(self):
-        report = ExperimentReport("t", "t", "WSS", [16384])
-        report.add_series("s", [1.0])
-        assert "16KB" in report.render()
-
     def test_csv_and_table_agree(self):
         report = ExperimentReport("t", "t", "size", [65536], x_is_size=True)
         report.add_series("s", [1.0])
@@ -250,6 +245,14 @@ class TestRegistry:
     def test_resolve_unknown(self):
         with pytest.raises(KeyError):
             resolve_names(["fig2", "fig99"])
+
+    def test_experiment_specs_hold_module_run_functions(self):
+        """Every paper experiment is its module's own ``run``, no adapter between."""
+        for name, spec in REGISTRY.items():
+            if name.startswith("crash-"):
+                continue
+            assert spec.run.__name__ == "run", name
+            assert spec.run.__module__.startswith("repro.experiments."), name
 
 
 

@@ -30,7 +30,7 @@ class TestBandwidth:
 
 class TestInterleaving:
     def test_report_shape(self):
-        report = run_interleaving(1, "fast")
+        report = run_interleaving(1, "fast")[0]
         latency = report.get("random read latency (cycles)")
         bw = report.get("nt-store bandwidth (GB/s, 8 threads)")
         assert latency[0] == pytest.approx(latency[1], rel=0.1)
@@ -39,6 +39,6 @@ class TestInterleaving:
 
 class TestLockHandover:
     def test_report_shape(self):
-        report = run_lock("fast")
+        report = run_lock(1, "fast")[0]
         assert report.value("G1", "pm") > 3 * report.value("G2", "pm")
         assert report.value("G1", "pm_remote") > report.value("G1", "pm")

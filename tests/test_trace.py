@@ -358,9 +358,7 @@ class TestWpqTimeDomain:
 
 
 def _digest(reports) -> str:
-    """Canonical digest of one or many ExperimentReports."""
-    if not isinstance(reports, list):
-        reports = [reports]
+    """Canonical digest of a list of ExperimentReports."""
     payload = json.dumps([r.to_dict() for r in reports], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -375,9 +373,9 @@ class TestObservationalPurity:
         assert traced == base
 
     def test_fig7_digest_unchanged_by_tracing(self):
-        base = _digest(fig07.run_panel(1, "pm", "fast"))
+        base = _digest([fig07.run_panel(1, "pm", "fast")])
         with session(interval=1000):
-            traced = _digest(fig07.run_panel(1, "pm", "fast"))
+            traced = _digest([fig07.run_panel(1, "pm", "fast")])
         assert traced == base
 
     def test_category_filtering_also_pure(self):

@@ -42,7 +42,6 @@ from repro.validate.predicates import (
     plateau,
     ratio_approx,
     span_ratio,
-    value_approx,
     within,
 )
 from repro.validate.spec import on_pair, on_reports, on_series
@@ -101,10 +100,6 @@ class TestSingleCurvePredicates:
         assert within(40, 60, at_x=1)(c).passed
         assert within(0, 60, x_max=1)(c).passed
         assert not within(0, 60)(c).passed
-
-    def test_value_approx(self):
-        assert value_approx(0, 100, rel=0.1)(curve(95)).passed
-        assert not value_approx(0, 100, rel=0.01)(curve(95)).passed
 
     def test_flat_wrt_wss(self):
         assert flat_wrt_wss(0.05)(curve(100, 101, 99)).passed
