@@ -23,6 +23,7 @@ periodic write-backs) as value objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.common.constants import FULL_XPLINE_MASK, XPLINE_SIZE
@@ -64,7 +65,7 @@ class WriteBufferEntry:
             self.full_since = now
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Writeback:
     """A media write the DIMM front-end must schedule."""
 
@@ -75,7 +76,7 @@ class Writeback:
     reason: str = "evict"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteOutcome:
     """Result of ingesting one cacheline write."""
 
@@ -112,6 +113,10 @@ class WriteBuffer:
         self.writeback_period = writeback_period
         self._rng = rng
         self._entries: dict[int, WriteBufferEntry] = {}
+        #: Lower bound on the earliest periodic write-back due time
+        #: (``full_since + writeback_period``) of any entry: lowered when
+        #: a line becomes fully dirty, recomputed by every scan.
+        self._due_bound: Cycles = math.inf
         # Parallel key list enabling O(1) uniform-random victim choice.
         self._keys: list[int] = []
         self._key_pos: dict[int, int] = {}
@@ -144,7 +149,7 @@ class WriteBuffer:
         return entry is not None and bool(entry.present_mask & (1 << slot))
 
     def entry(self, xpline: int) -> WriteBufferEntry | None:
-        """The entry for ``xpline`` (None if absent); for inspection."""
+        """The entry for ``xpline`` (None if absent)."""
         return self._entries.get(xpline)
 
     def resident_xplines(self) -> list[int]:
@@ -160,7 +165,7 @@ class WriteBuffer:
         DIMM must now schedule (due periodic write-backs first, then an
         eviction if the install overflowed capacity).
         """
-        writebacks = list(self._collect_periodic(now))
+        writebacks = self._collect_periodic(now)
         entry = self._entries.get(xpline)
         if entry is not None:
             if self.periodic_writeback and entry.fully_dirty:
@@ -177,6 +182,9 @@ class WriteBuffer:
                 self._add_key(xpline)
                 return WriteOutcome(hit=True, transitioned=False, writebacks=tuple(writebacks))
             entry.mark_dirty(slot, now)
+            # Only a merge can complete a line: a new entry holds one slot.
+            if entry.full_since is not None:
+                self._due_bound = min(self._due_bound, entry.full_since + self.writeback_period)
             return WriteOutcome(hit=True, transitioned=False, writebacks=tuple(writebacks))
 
         entry = WriteBufferEntry()
@@ -206,7 +214,7 @@ class WriteBuffer:
         needed — this is how the transition avoids the expensive
         read-modify-write.
         """
-        writebacks = list(self._collect_periodic(now))
+        writebacks = self._collect_periodic(now)
         entry = WriteBufferEntry(present_mask=FULL_XPLINE_MASK)
         entry.mark_dirty(slot, now)
         self._entries[xpline] = entry
@@ -246,13 +254,24 @@ class WriteBuffer:
     # -- internals ---------------------------------------------------------
 
     def _collect_periodic(self, now: Cycles) -> list[Writeback]:
-        if not self.periodic_writeback:
+        """Pop every line due by ``now``, in insertion order.
+
+        Insertion order, not due order: write-back order feeds media
+        timing.  The scan is skipped while ``now`` is below the bound.
+        """
+        if not self.periodic_writeback or now < self._due_bound:
             return []
-        due = [
-            xpline
-            for xpline, entry in self._entries.items()
-            if entry.full_since is not None and entry.full_since + self.writeback_period <= now
-        ]
+        period = self.writeback_period
+        due = []
+        bound = math.inf
+        for xpline, entry in self._entries.items():
+            if entry.full_since is not None:
+                due_at = entry.full_since + period
+                if due_at <= now:
+                    due.append(xpline)
+                elif due_at < bound:
+                    bound = due_at
+        self._due_bound = bound
         return [self._pop(xpline, reason="periodic") for xpline in due]
 
     def _evict_random(self, exclude: int) -> Writeback:
@@ -282,3 +301,4 @@ class WriteBuffer:
         self._entries.clear()
         self._keys.clear()
         self._key_pos.clear()
+        self._due_bound = math.inf

@@ -56,7 +56,12 @@ class CacheHierarchyConfig:
 
 @dataclass(frozen=True)
 class AccessResult:
-    """What one demand access did to the hierarchy."""
+    """What one demand access did to the hierarchy.
+
+    Frozen because :class:`CacheHierarchy` hands out one shared
+    instance per hit level and one for a miss; only an access that
+    pushed out LLC write-backs gets its own.
+    """
 
     #: 1, 2 or 3 for a hit at that level; None for a full miss.
     hit_level: int | None
@@ -76,19 +81,16 @@ class CacheHierarchy:
         self.l2 = SetAssociativeCache(config.l2)
         self.l3 = SetAssociativeCache(config.l3)
         self._levels = (self.l1, self.l2, self.l3)
+        self._l1_hit = AccessResult(1, config.l1.latency)
+        self._l2_hit = AccessResult(2, config.l2.latency)
+        self._l3_hit = AccessResult(3, config.l3.latency)
+        self._miss = AccessResult(None, config.miss_overhead)
 
     # -- queries -------------------------------------------------------------
 
-    def probe_level(self, line: int) -> int | None:
-        """Highest level holding ``line`` (1/2/3), or None.  No side effects."""
-        for number, level in enumerate(self._levels, start=1):
-            if level.probe(line):
-                return number
-        return None
-
     def contains(self, line: int) -> bool:
-        """True if any level holds ``line``."""
-        return self.probe_level(line) is not None
+        """True if any level holds ``line``.  No side effects."""
+        return self.l1.probe(line) or self.l2.probe(line) or self.l3.probe(line)
 
     # -- demand path -----------------------------------------------------------
 
@@ -99,19 +101,23 @@ class CacheHierarchy:
         :meth:`fill`.  Stores mark the (promoted) L1 copy dirty —
         write-allocate is the caller's job via the fill path.
         """
-        writebacks: list[int] = []
         if self.l1.lookup(line):
             if is_write:
                 self.l1.set_dirty(line)
-            return AccessResult(1, self.config.l1.latency)
+            return self._l1_hit
+        writebacks: list[int] = []
         if self.l2.lookup(line):
-            self._promote(line, to_level=1, dirty=is_write, writebacks=writebacks)
-            return AccessResult(2, self.config.l2.latency, tuple(writebacks))
+            self._fill_level(1, line, dirty=is_write, writebacks=writebacks)
+            if writebacks:
+                return AccessResult(2, self._l2_hit.latency, tuple(writebacks))
+            return self._l2_hit
         if self.l3.lookup(line):
-            self._promote(line, to_level=2, dirty=False, writebacks=writebacks)
-            self._promote(line, to_level=1, dirty=is_write, writebacks=writebacks)
-            return AccessResult(3, self.config.l3.latency, tuple(writebacks))
-        return AccessResult(None, self.config.miss_overhead)
+            self._fill_level(2, line, dirty=False, writebacks=writebacks)
+            self._fill_level(1, line, dirty=is_write, writebacks=writebacks)
+            if writebacks:
+                return AccessResult(3, self._l3_hit.latency, tuple(writebacks))
+            return self._l3_hit
+        return self._miss
 
     def fill(self, line: int, dirty: bool = False, into_l1: bool = True) -> tuple[int, ...]:
         """Install a line fetched from memory (inclusive: L3 → L2 [→ L1]).
@@ -136,21 +142,19 @@ class CacheHierarchy:
 
         Models clflush/clflushopt and the G1 clwb behaviour.
         """
-        dirty = False
-        for level in self._levels:
-            _, was_dirty = level.invalidate(line)
-            dirty = dirty or was_dirty
-        return dirty
+        _, l1_dirty = self.l1.invalidate(line)
+        _, l2_dirty = self.l2.invalidate(line)
+        _, l3_dirty = self.l3.invalidate(line)
+        return l1_dirty or l2_dirty or l3_dirty
 
     def clean(self, line: int) -> bool:
         """Clear dirtiness of ``line`` everywhere, keeping it resident.
 
         Models the G2 clwb behaviour; True if any copy was dirty.
         """
-        dirty = False
-        for level in self._levels:
-            dirty = level.clean(line) or dirty
-        return dirty
+        l1_dirty = self.l1.clean(line)
+        l2_dirty = self.l2.clean(line)
+        return self.l3.clean(line) or l1_dirty or l2_dirty
 
     def is_dirty(self, line: int) -> bool:
         """True if any level holds a dirty copy of ``line``."""
@@ -169,9 +173,6 @@ class CacheHierarchy:
             level.clear()
 
     # -- internals --------------------------------------------------------------
-
-    def _promote(self, line: int, to_level: int, dirty: bool, writebacks: list[int]) -> None:
-        self._fill_level(to_level, line, dirty=dirty, writebacks=writebacks)
 
     def _fill_level(self, number: int, line: int, dirty: bool, writebacks: list[int]) -> None:
         level = self._levels[number - 1]

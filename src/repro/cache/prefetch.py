@@ -218,29 +218,23 @@ class PrefetchEngine:
                     table_entries=config.table_entries,
                 )
             )
-        self.issued = 0
-
-    @property
-    def enabled(self) -> bool:
-        """True if at least one prefetcher is active."""
-        return bool(self._units)
+        #: True if at least one prefetcher is active.
+        self.enabled = bool(self._units)
 
     def observe(self, line: int, hit_level: int | None) -> list[int]:
-        """Feed one demand access; returns deduplicated candidates."""
-        if not self._units:
-            return []
+        """Feed one demand access; returns deduplicated candidates.
+
+        At most a handful of candidates come back per access, so the
+        dedup is a scan of the short result list.
+        """
         candidates: list[int] = []
-        seen: set[int] = set()
         for unit in self._units:
             for candidate in unit.observe(line, hit_level):
-                if candidate not in seen and candidate != line:
-                    seen.add(candidate)
+                if candidate != line and candidate not in candidates:
                     candidates.append(candidate)
-        self.issued += len(candidates)
         return candidates
 
     def reset(self) -> None:
         """Forget all training state."""
         for unit in self._units:
             unit.reset()
-        self.issued = 0

@@ -10,10 +10,12 @@ touch, ``popitem(last=False)`` to evict), which keeps the hot path in
 C-implemented dict operations.
 
 Sets are created on first touch (a ``defaultdict`` keyed by set
-index), so building a cache costs nothing per set and the whole-cache
-walks (``resident_lines``, ``dirty_lines``, ``clear``) cost only the
-sets an experiment touched.  ``dirty_lines`` reports lines in
-ascending set-index order, then LRU order within a set.
+index, indexed only by ``lookup`` and ``fill``; every read-only or
+removing query uses ``dict.get``), so building a cache costs nothing
+per set and the whole-cache walks (``resident_lines``,
+``dirty_lines``, ``clear``) cost only the sets an experiment touched.
+``dirty_lines`` reports lines in ascending set-index order, then LRU
+order within a set.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class CacheLevelConfig:
         return self.size_bytes // self.line_size
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Eviction:
     """A line pushed out of a level by a fill."""
 
@@ -77,12 +79,9 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, line: int) -> OrderedDict[int, bool]:
-        return self._sets[line % self._n_sets]
-
     def lookup(self, line: int) -> bool:
         """Demand lookup: refreshes LRU and counts hit/miss."""
-        cache_set = self._set_for(line)
+        cache_set = self._sets[line % self._n_sets]
         if line in cache_set:
             cache_set.move_to_end(line)
             self.hits += 1
@@ -92,7 +91,7 @@ class SetAssociativeCache:
 
     def probe(self, line: int) -> bool:
         """Presence check with no LRU or statistics side effects."""
-        return line in self._set_for(line)
+        return line in self._sets.get(line % self._n_sets, ())
 
     def fill(self, line: int, dirty: bool = False) -> Eviction | None:
         """Install ``line``; returns the victim if the set overflowed.
@@ -100,7 +99,7 @@ class SetAssociativeCache:
         Filling a line that is already present refreshes LRU and ORs
         in the dirty flag.
         """
-        cache_set = self._set_for(line)
+        cache_set = self._sets[line % self._n_sets]
         if line in cache_set:
             cache_set[line] = cache_set[line] or dirty
             cache_set.move_to_end(line)
@@ -113,7 +112,9 @@ class SetAssociativeCache:
 
     def invalidate(self, line: int) -> tuple[bool, bool]:
         """Remove ``line``; returns (was_present, was_dirty)."""
-        cache_set = self._set_for(line)
+        cache_set = self._sets.get(line % self._n_sets)
+        if cache_set is None:
+            return (False, False)
         dirty = cache_set.pop(line, None)
         if dirty is None:
             return (False, False)
@@ -124,8 +125,8 @@ class SetAssociativeCache:
 
         Returns whether the line was dirty.
         """
-        cache_set = self._set_for(line)
-        if line in cache_set:
+        cache_set = self._sets.get(line % self._n_sets)
+        if cache_set is not None and line in cache_set:
             was_dirty = cache_set[line]
             cache_set[line] = False
             return was_dirty
@@ -133,15 +134,16 @@ class SetAssociativeCache:
 
     def set_dirty(self, line: int) -> bool:
         """Mark a resident line dirty; returns False if absent."""
-        cache_set = self._set_for(line)
-        if line in cache_set:
+        cache_set = self._sets.get(line % self._n_sets)
+        if cache_set is not None and line in cache_set:
             cache_set[line] = True
             return True
         return False
 
     def is_dirty(self, line: int) -> bool:
         """True if the line is resident and dirty."""
-        return bool(self._set_for(line).get(line, False))
+        cache_set = self._sets.get(line % self._n_sets)
+        return cache_set is not None and cache_set.get(line, False)
 
     @property
     def resident_lines(self) -> int:

@@ -33,7 +33,7 @@ from repro.sim.clock import Cycles
 from repro.stats.counters import TelemetryCounters
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadResponse:
     """Timing and provenance of one 64 B read."""
 
@@ -42,7 +42,7 @@ class ReadResponse:
     source: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteResponse:
     """Timing of one 64 B write ingested through the WPQ."""
 
@@ -93,13 +93,14 @@ class OptaneDimm:
         slot = cacheline_slot_in_xpline(addr)
         trace = self.trace
 
-        if self.write_buffer.servable(xpline, slot):
+        entry = self.write_buffer.entry(xpline)
+        if entry is not None and entry.present_mask & (1 << slot):
             self.counters.read_buffer_hits += 1
             if trace is not None:
                 trace.instant("wbuf", "read-hit", now, self.name, addr=addr)
             return ReadResponse(now + self.config.buffer_read_latency, "write-buffer")
 
-        if self.write_buffer.contains(xpline):
+        if entry is not None:
             # The XPLine is buffered but this slot's data is not held:
             # one media read completes the entry (read-side RMW fill),
             # after which every slot is servable from the write buffer.

@@ -21,7 +21,6 @@ class InflightPersists:
 
     def __init__(self) -> None:
         self._completion_by_line: dict[int, Cycles] = {}
-        self._max_completion: Cycles = 0.0
 
     def __len__(self) -> int:
         return len(self._completion_by_line)
@@ -35,8 +34,6 @@ class InflightPersists:
         previous = self._completion_by_line.get(line_index, 0.0)
         if completion > previous:
             self._completion_by_line[line_index] = completion
-        if completion > self._max_completion:
-            self._max_completion = completion
 
     def completion_for(self, line_index: int, now: Cycles) -> Cycles | None:
         """Completion time of an in-flight persist to ``line_index``.
@@ -79,4 +76,3 @@ class InflightPersists:
     def clear(self) -> None:
         """Forget all in-flight persists (e.g. simulated power cycle)."""
         self._completion_by_line.clear()
-        self._max_completion = 0.0

@@ -20,7 +20,7 @@ from repro.common.errors import ConfigError
 from repro.sim.clock import Cycles
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServiceGrant:
     """Outcome of one acquisition: when service started and finished."""
 

@@ -26,7 +26,7 @@ from repro.sim.clock import Cycles
 from repro.sim.inflight import InflightPersists
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WpqGrant:
     """Timing of one cacheline write pushed through the WPQ."""
 

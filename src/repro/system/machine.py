@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.cache.hierarchy import CacheHierarchy, CacheHierarchyConfig
 from repro.cache.prefetch import PrefetchEngine, PrefetcherConfig
-from repro.common.constants import CACHELINE_SIZE, cacheline_base, cacheline_index
+from repro.common.constants import CACHELINE_SIZE, cacheline_index
 from repro.common.errors import AddressError, ConfigError
 from repro.common.rng import DEFAULT_SEED, DeterministicRng
 from repro.dimm.config import DramDimmConfig, OptaneDimmConfig
@@ -151,16 +151,25 @@ class MachineConfig:
 
 
 class _Region:
-    """Instantiated region: spec + its iMC channels."""
+    """Instantiated region: spec + its iMC channels.
+
+    The address bounds and interleave geometry are copied into plain
+    attributes: routing runs on every simulated access.
+    """
 
     def __init__(self, spec: RegionSpec, channels: list[IMCChannel]) -> None:
         self.spec = spec
         self.channels = channels
+        self.base = spec.base
+        self.end = spec.end
+        self.interleave = spec.interleave_bytes
+        self.n_channels = len(channels)
 
     def channel_for(self, addr: int) -> IMCChannel:
         """Route ``addr`` to its interleaved iMC channel."""
-        index = ((addr - self.spec.base) // self.spec.interleave_bytes) % len(self.channels)
-        return self.channels[index]
+        if self.n_channels == 1:
+            return self.channels[0]
+        return self.channels[((addr - self.base) // self.interleave) % self.n_channels]
 
 
 class Machine:
@@ -178,7 +187,7 @@ class Machine:
         self.prefetch_issued = 0
         for spec in config.regions:
             self._regions.append(self._build_region(spec))
-        self._regions.sort(key=lambda region: region.spec.base)
+        self._regions.sort(key=lambda region: region.base)
         #: Weak refs to the cores created via new_core.  Weak, not
         #: strong: a strong list would close a Machine -> Core ->
         #: Machine cycle, parking every discarded machine (and its
@@ -226,7 +235,7 @@ class Machine:
     def region_of(self, addr: int) -> _Region:
         """Region containing ``addr`` (AddressError if unmapped)."""
         for region in self._regions:
-            if region.spec.base <= addr < region.spec.end:
+            if region.base <= addr < region.end:
                 return region
         raise AddressError(f"address {addr:#x} is outside every mapped region")
 
@@ -455,12 +464,14 @@ class Machine:
             self._issue_prefetch(now, candidate)
 
     def _issue_prefetch(self, now: Cycles, line: int) -> None:
+        # Residency first: most candidates are already cached, and both
+        # checks are free of side effects.
+        if self.caches.contains(line):
+            return
         addr = line * CACHELINE_SIZE
         try:
             region = self.region_of(addr)
         except AddressError:
-            return
-        if self.caches.probe_level(line) is not None:
             return
         fill_done = self._inflight_fills.get(line)
         if fill_done is not None and fill_done > now:
@@ -497,6 +508,10 @@ class Machine:
         for region in self._regions:
             for channel in region.channels:
                 channel.reset()
+
+
+#: Clears the byte-in-line bits of an address (see ``cacheline_base``).
+_LINE_MASK = ~(CACHELINE_SIZE - 1)
 
 
 class Core:
@@ -543,9 +558,9 @@ class Core:
     # -- data operations ---------------------------------------------------------
 
     def _lines(self, addr: int, size: int) -> range:
-        first = cacheline_base(addr)
-        last = cacheline_base(addr + max(size, 1) - 1)
-        return range(first, last + 1, CACHELINE_SIZE)
+        # cacheline_base, inlined: this runs once per core operation.
+        last = (addr + max(size, 1) - 1) & _LINE_MASK
+        return range(addr & _LINE_MASK, last + 1, CACHELINE_SIZE)
 
     def load(self, addr: int, size: int = 8) -> Cycles:
         """Load ``size`` bytes; returns the cycles this took."""

@@ -2,6 +2,8 @@
 
 from collections import OrderedDict
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +232,18 @@ def test_dirty_lines_in_set_index_order():
     assert cache.dirty_lines() == [4, 0, 5, 1, 6, 2, 7, 3]
 
 
+def test_queries_on_untouched_lines_create_no_sets():
+    cache = small_cache(size=4 * 2 * 64, ways=2)  # 4 sets
+    cache.fill(0, dirty=True)
+    for line in (1, 2, 3):
+        assert not cache.probe(line)
+        assert cache.invalidate(line) == (False, False)
+        assert not cache.clean(line)
+        assert not cache.set_dirty(line)
+        assert not cache.is_dirty(line)
+    assert len(cache._sets) == 1
+
+
 def test_clear_empties_and_keeps_statistics():
     cache = small_cache(size=4 * 2 * 64, ways=2)
     for line in range(6):
@@ -362,3 +376,33 @@ class TestHierarchy:
         h.fill(1)
         h.clear()
         assert not h.contains(1)
+
+    def test_hits_without_writebacks_share_one_frozen_result(self):
+        h = hier()
+        h.fill(1)
+        first = h.access(1, is_write=False)
+        assert h.access(1, is_write=True) is first
+        assert first.memory_writebacks == ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.latency = 0.0
+
+    def test_l3_hit_with_llc_writeback_gets_its_own_result(self):
+        # One-line L1/L2 over a one-set, two-way L3.  A dirty line held
+        # only by L2 must move to L3 when the L3 hit is promoted,
+        # pushing the dirty LRU line out of the LLC.
+        h = CacheHierarchy(
+            CacheHierarchyConfig(
+                l1=CacheLevelConfig("L1", 64, 1, 4.0),
+                l2=CacheLevelConfig("L2", 64, 1, 14.0),
+                l3=CacheLevelConfig("L3", 128, 2, 42.0),
+            )
+        )
+        h.l3.fill(1)
+        h.l3.fill(2, dirty=True)
+        h.l2.fill(3, dirty=True)
+        result = h.access(1, is_write=False)
+        assert (result.hit_level, result.latency) == (3, 42.0)
+        assert result.memory_writebacks == (2,)
+        shared = h.access(1, is_write=False)
+        assert shared.memory_writebacks == ()
+        assert result is not shared

@@ -169,14 +169,8 @@ class TestEngine:
         assert len(candidates) == len(set(candidates))
         assert 11 not in candidates
 
-    def test_issue_counter(self):
-        engine = PrefetchEngine(PrefetcherConfig.only("adjacent"), DeterministicRng(1))
-        engine.observe(10, None)
-        assert engine.issued == 2
-
     def test_reset(self):
         engine = PrefetchEngine(PrefetcherConfig.only("dcu"), DeterministicRng(1))
         engine.observe(10, None)
         engine.reset()
-        assert engine.issued == 0
         assert engine.observe(11, None) == []  # history forgotten

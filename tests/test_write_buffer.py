@@ -142,6 +142,42 @@ class TestPeriodicWriteback:
         assert outcome.hit
         assert outcome.writebacks == ()
 
+    # The due-time bound lets polls skip the scan; it must not change
+    # which lines leave, in what order, or when.
+    def test_due_lines_leave_in_insertion_order(self):
+        buffer = make(period=1000.0)
+        buffer.write(0.0, 1, 0)
+        buffer.write(0.0, 2, 0)
+        for slot in (1, 2, 3):
+            buffer.write(10.0, 2, slot)  # line 2 full first
+        for slot in (1, 2, 3):
+            buffer.write(20.0, 1, slot)
+        due = buffer.poll(2000.0)
+        assert [writeback.xpline for writeback in due] == [1, 2]
+
+    def test_stale_bound_still_drains_at_due_time(self):
+        buffer = WriteBuffer(
+            2 * 256, rng=DeterministicRng(1), writeback_period=1000.0, eviction="fifo"
+        )
+        for slot in range(4):
+            buffer.write(0.0, 1, slot)  # due at 1000
+        for slot in range(4):
+            buffer.write(500.0, 2, slot)  # due at 1500
+        outcome = buffer.write(600.0, 3, 0)  # evicts line 1: the bound is stale
+        assert [writeback.xpline for writeback in outcome.writebacks] == [1]
+        assert buffer.poll(1200.0) == ()
+        assert buffer.poll(1499.0) == ()
+        due = buffer.poll(1500.0)
+        assert [(writeback.xpline, writeback.reason) for writeback in due] == [(2, "periodic")]
+
+    def test_clear_resets_bound(self):
+        buffer = make(period=1000.0)
+        for slot in range(4):
+            buffer.write(0.0, 1, slot)
+        assert buffer._due_bound == 1000.0
+        buffer.clear()
+        assert buffer._due_bound == float("inf")
+
 
 class TestTransition:
     def test_adopted_line_fully_present(self):
