@@ -4,7 +4,6 @@ from repro.buffers.read_buffer import ReadBuffer, ReadBufferEntry
 from repro.buffers.write_buffer import (
     WriteBuffer,
     WriteBufferEntry,
-    WriteOutcome,
     Writeback,
 )
 
@@ -13,6 +12,5 @@ __all__ = [
     "ReadBufferEntry",
     "WriteBuffer",
     "WriteBufferEntry",
-    "WriteOutcome",
     "Writeback",
 ]

@@ -24,12 +24,15 @@ periodic write-backs) as value objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.constants import FULL_XPLINE_MASK, XPLINE_SIZE
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.sim.clock import Cycles
+
+#: G1's periodic write-back interval for fully-dirty XPLines, in cycles.
+WRITEBACK_PERIOD = 5000.0
 
 
 @dataclass
@@ -76,18 +79,6 @@ class Writeback:
     reason: str = "evict"
 
 
-@dataclass(slots=True)
-class WriteOutcome:
-    """Result of ingesting one cacheline write."""
-
-    #: True if the write merged into an existing buffered XPLine.
-    hit: bool
-    #: True if the XPLine was adopted from the read buffer (§3.3).
-    transitioned: bool
-    #: Media work triggered by this ingest (evictions + due write-backs).
-    writebacks: tuple[Writeback, ...] = field(default=())
-
-
 class WriteBuffer:
     """Random-eviction write-combining buffer of dirty XPLines."""
 
@@ -96,25 +87,21 @@ class WriteBuffer:
         capacity_bytes: int,
         rng: DeterministicRng,
         periodic_writeback: bool = True,
-        writeback_period: Cycles = 5000.0,
         name: str = "write-buffer",
         eviction: str = "random",
     ) -> None:
         if capacity_bytes < XPLINE_SIZE:
             raise ConfigError(f"{name}: capacity {capacity_bytes} below one XPLine")
-        if writeback_period <= 0:
-            raise ConfigError(f"{name}: write-back period must be positive")
         if eviction not in ("random", "fifo"):
             raise ConfigError(f"{name}: unknown eviction policy {eviction!r}")
         self.eviction = eviction
         self.name = name
         self.capacity_lines = capacity_bytes // XPLINE_SIZE
         self.periodic_writeback = periodic_writeback
-        self.writeback_period = writeback_period
         self._rng = rng
         self._entries: dict[int, WriteBufferEntry] = {}
         #: Lower bound on the earliest periodic write-back due time
-        #: (``full_since + writeback_period``) of any entry: lowered when
+        #: (``full_since + WRITEBACK_PERIOD``) of any entry: lowered when
         #: a line becomes fully dirty, recomputed by every scan.
         self._due_bound: Cycles = math.inf
         # Parallel key list enabling O(1) uniform-random victim choice.
@@ -143,11 +130,6 @@ class WriteBuffer:
         """True if the XPLine has a buffered entry."""
         return xpline in self._entries
 
-    def servable(self, xpline: int, slot: int) -> bool:
-        """True if a read of ``slot`` could be served from the buffer."""
-        entry = self._entries.get(xpline)
-        return entry is not None and bool(entry.present_mask & (1 << slot))
-
     def entry(self, xpline: int) -> WriteBufferEntry | None:
         """The entry for ``xpline`` (None if absent)."""
         return self._entries.get(xpline)
@@ -158,12 +140,12 @@ class WriteBuffer:
 
     # -- mutation ---------------------------------------------------------
 
-    def write(self, now: Cycles, xpline: int, slot: int) -> WriteOutcome:
+    def write(self, now: Cycles, xpline: int, slot: int) -> tuple[Writeback, ...]:
         """Ingest one cacheline write into the buffer.
 
-        Returns whether it merged (hit) and which media write-backs the
-        DIMM must now schedule (due periodic write-backs first, then an
-        eviction if the install overflowed capacity).
+        Returns the media write-backs the DIMM must now schedule: due
+        periodic write-backs first, then a rewrite of the old version
+        or an eviction if the install overflowed capacity.
         """
         writebacks = self._collect_periodic(now)
         entry = self._entries.get(xpline)
@@ -180,12 +162,12 @@ class WriteBuffer:
                 entry.mark_dirty(slot, now)
                 self._entries[xpline] = entry
                 self._add_key(xpline)
-                return WriteOutcome(hit=True, transitioned=False, writebacks=tuple(writebacks))
+                return tuple(writebacks)
             entry.mark_dirty(slot, now)
             # Only a merge can complete a line: a new entry holds one slot.
             if entry.full_since is not None:
-                self._due_bound = min(self._due_bound, entry.full_since + self.writeback_period)
-            return WriteOutcome(hit=True, transitioned=False, writebacks=tuple(writebacks))
+                self._due_bound = min(self._due_bound, entry.full_since + WRITEBACK_PERIOD)
+            return tuple(writebacks)
 
         entry = WriteBufferEntry()
         entry.mark_dirty(slot, now)
@@ -193,7 +175,7 @@ class WriteBuffer:
         self._add_key(xpline)
         if len(self._entries) > self.capacity_lines:
             writebacks.append(self._evict_random(exclude=xpline))
-        return WriteOutcome(hit=False, transitioned=False, writebacks=tuple(writebacks))
+        return tuple(writebacks)
 
     def fill_from_media(self, xpline: int) -> None:
         """Complete a resident entry with media data (read-side RMW fill).
@@ -206,7 +188,7 @@ class WriteBuffer:
         entry = self._entries[xpline]
         entry.present_mask = FULL_XPLINE_MASK
 
-    def adopt_from_read_buffer(self, now: Cycles, xpline: int, slot: int) -> WriteOutcome:
+    def adopt_from_read_buffer(self, now: Cycles, xpline: int, slot: int) -> tuple[Writeback, ...]:
         """Install an XPLine handed over by the read buffer (§3.3).
 
         The line arrives fully present (it was read from the media), so
@@ -221,7 +203,7 @@ class WriteBuffer:
         self._add_key(xpline)
         if len(self._entries) > self.capacity_lines:
             writebacks.append(self._evict_random(exclude=xpline))
-        return WriteOutcome(hit=False, transitioned=True, writebacks=tuple(writebacks))
+        return tuple(writebacks)
 
     def poll(self, now: Cycles) -> tuple[Writeback, ...]:
         """Collect periodic write-backs that came due by ``now``.
@@ -261,7 +243,7 @@ class WriteBuffer:
         """
         if not self.periodic_writeback or now < self._due_bound:
             return []
-        period = self.writeback_period
+        period = WRITEBACK_PERIOD
         due = []
         bound = math.inf
         for xpline, entry in self._entries.items():

@@ -15,10 +15,13 @@ from repro.cache.set_assoc import CacheLevelConfig, SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.common.units import kib, mib
 
+#: Cycles burned discovering a full miss before memory is engaged.
+MISS_OVERHEAD = 10.0
+
 
 @dataclass(frozen=True)
 class CacheHierarchyConfig:
-    """Geometries of all three levels plus the miss detection cost."""
+    """Geometries of all three cache levels."""
 
     l1: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig("L1", kib(32), 8, latency=4.0)
@@ -29,8 +32,6 @@ class CacheHierarchyConfig:
     l3: CacheLevelConfig = field(
         default_factory=lambda: CacheLevelConfig("L3", int(mib(27.5)), 11, latency=42.0)
     )
-    #: Cycles burned discovering a full miss before memory is engaged.
-    miss_overhead: float = 10.0
 
     def validate(self) -> None:
         """Validate all levels and the outward-growth constraint."""
@@ -84,7 +85,7 @@ class CacheHierarchy:
         self._l1_hit = AccessResult(1, config.l1.latency)
         self._l2_hit = AccessResult(2, config.l2.latency)
         self._l3_hit = AccessResult(3, config.l3.latency)
-        self._miss = AccessResult(None, config.miss_overhead)
+        self._miss = AccessResult(None, MISS_OVERHEAD)
 
     # -- queries -------------------------------------------------------------
 

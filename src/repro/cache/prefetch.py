@@ -10,9 +10,10 @@ individually toggleable, mirroring the paper's BIOS switches:
 * **Adjacent-line / spatial prefetcher** (L2): on a demand miss, fetch
   the following two lines.
 * **Hardware streamer** (L2): trains on ascending accesses within a
-  page; once trained it keeps a prefetch frontier ``distance`` lines
-  ahead, issuing up to ``degree`` lines per trigger.  Training is
-  probabilistic (``fire_probability``) to model the detector's
+  page; once trained it keeps a prefetch frontier
+  :data:`STREAMER_DISTANCE` lines ahead, issuing up to
+  :data:`STREAMER_DEGREE` lines per trigger.  Training is probabilistic
+  (:data:`STREAMER_FIRE_PROBABILITY`) to model the detector's
   sensitivity to interleaved access streams — with random 256 B blocks
   it only sometimes locks on, which is why Figure 6 (b) shows the
   smallest ratios.
@@ -33,24 +34,28 @@ from repro.common.rng import DeterministicRng
 PAGE_BYTES = 4096
 LINES_PER_PAGE = PAGE_BYTES // 64
 
+#: Max pages tracked concurrently by each page-local prefetcher.
+TABLE_ENTRIES = 16
+#: Ascending accesses the streamer sees in a page before it may lock on.
+STREAMER_TRAIN_THRESHOLD = 2
+#: How far ahead (in lines) the streamer keeps its prefetch frontier.
+STREAMER_DISTANCE = 4
+#: Most lines the streamer issues per trigger.
+STREAMER_DEGREE = 4
+#: Largest ascending jump still considered part of the same stream;
+#: lets the streamer lock onto strided element walks, not just +1.
+STREAMER_WINDOW = 6
+#: Chance that a trained stream locks on (detector sensitivity).
+STREAMER_FIRE_PROBABILITY = 0.3
+
 
 @dataclass(frozen=True)
 class PrefetcherConfig:
-    """Which prefetchers are enabled, and the streamer's tuning."""
+    """Which prefetchers are enabled."""
 
     dcu: bool = True
     adjacent: bool = True
     streamer: bool = True
-    streamer_train_threshold: int = 2
-    #: How far ahead (in lines) the streamer keeps its prefetch frontier.
-    streamer_distance: int = 4
-    streamer_degree: int = 4
-    #: Largest ascending jump still considered part of the same stream;
-    #: lets the streamer lock onto strided element walks, not just +1.
-    streamer_window: int = 6
-    streamer_fire_probability: float = 0.3
-    #: Max pages tracked concurrently by each page-local prefetcher.
-    table_entries: int = 16
 
     @staticmethod
     def none() -> "PrefetcherConfig":
@@ -81,9 +86,8 @@ def _page_end(line: int) -> int:
 class DcuPrefetcher:
     """L1 next-line prefetcher: ascending pair → fetch line+1."""
 
-    def __init__(self, table_entries: int) -> None:
+    def __init__(self) -> None:
         self._last_line: OrderedDict[int, int] = OrderedDict()
-        self._table_entries = table_entries
 
     def observe(self, line: int, hit_level: int | None) -> list[int]:
         """Feed one access; returns prefetch candidates (DCU next-line)."""
@@ -91,7 +95,7 @@ class DcuPrefetcher:
         previous = self._last_line.get(page)
         self._last_line[page] = line
         self._last_line.move_to_end(page)
-        if len(self._last_line) > self._table_entries:
+        if len(self._last_line) > TABLE_ENTRIES:
             self._last_line.popitem(last=False)
         if previous is not None and line == previous + 1 and line + 1 <= _page_end(line):
             return [line + 1]
@@ -127,23 +131,8 @@ class _StreamEntry:
 class StreamPrefetcher:
     """L2 hardware streamer with training, frontier and page locality."""
 
-    def __init__(
-        self,
-        rng: DeterministicRng,
-        train_threshold: int,
-        distance: int,
-        degree: int,
-        window: int,
-        fire_probability: float,
-        table_entries: int,
-    ) -> None:
+    def __init__(self, rng: DeterministicRng) -> None:
         self._rng = rng
-        self._train_threshold = train_threshold
-        self._distance = distance
-        self._degree = degree
-        self._window = window
-        self._fire_probability = fire_probability
-        self._table_entries = table_entries
         self._streams: OrderedDict[int, _StreamEntry] = OrderedDict()
 
     def observe(self, line: int, hit_level: int | None) -> list[int]:
@@ -156,13 +145,13 @@ class StreamPrefetcher:
             entry = _StreamEntry(last_line=line)
             self._streams[page] = entry
             self._streams.move_to_end(page)
-            if len(self._streams) > self._table_entries:
+            if len(self._streams) > TABLE_ENTRIES:
                 self._streams.popitem(last=False)
             return []
         self._streams.move_to_end(page)
 
         delta = line - entry.last_line
-        ascending = 0 < delta <= self._window
+        ascending = 0 < delta <= STREAMER_WINDOW
         entry.last_line = line
         if ascending:
             entry.confidence += 1
@@ -175,17 +164,17 @@ class StreamPrefetcher:
             return []
 
         if not entry.active:
-            if entry.confidence < self._train_threshold:
+            if entry.confidence < STREAMER_TRAIN_THRESHOLD:
                 return []
             # Trained; lock on probabilistically (detector sensitivity).
-            if self._rng.random() >= self._fire_probability:
+            if self._rng.random() >= STREAMER_FIRE_PROBABILITY:
                 return []
             entry.active = True
             entry.frontier = line
 
-        desired = min(line + self._distance, _page_end(line))
+        desired = min(line + STREAMER_DISTANCE, _page_end(line))
         start = max(entry.frontier, line) + 1
-        stop = min(desired, start + self._degree - 1)
+        stop = min(desired, start + STREAMER_DEGREE - 1)
         if start > stop:
             return []
         entry.frontier = stop
@@ -203,21 +192,11 @@ class PrefetchEngine:
         self.config = config
         self._units: list = []
         if config.dcu:
-            self._units.append(DcuPrefetcher(config.table_entries))
+            self._units.append(DcuPrefetcher())
         if config.adjacent:
             self._units.append(AdjacentLinePrefetcher())
         if config.streamer:
-            self._units.append(
-                StreamPrefetcher(
-                    rng=rng,
-                    train_threshold=config.streamer_train_threshold,
-                    distance=config.streamer_distance,
-                    degree=config.streamer_degree,
-                    window=config.streamer_window,
-                    fire_probability=config.streamer_fire_probability,
-                    table_entries=config.table_entries,
-                )
-            )
+            self._units.append(StreamPrefetcher(rng))
         #: True if at least one prefetcher is active.
         self.enabled = bool(self._units)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
+from repro.common.constants import CACHELINE_SIZE
 from repro.common.errors import ConfigError
 
 
@@ -34,16 +35,15 @@ class CacheLevelConfig:
     size_bytes: int
     ways: int
     latency: float
-    line_size: int = 64
 
     def validate(self) -> None:
         """Raise ConfigError on inconsistent geometry."""
-        if self.size_bytes <= 0 or self.ways <= 0 or self.line_size <= 0:
+        if self.size_bytes <= 0 or self.ways <= 0:
             raise ConfigError(f"{self.name}: geometry values must be positive")
-        if self.size_bytes % (self.ways * self.line_size):
+        if self.size_bytes % (self.ways * CACHELINE_SIZE):
             raise ConfigError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
-                f"ways*line ({self.ways}*{self.line_size})"
+                f"ways*line ({self.ways}*{CACHELINE_SIZE})"
             )
         if self.latency < 0:
             raise ConfigError(f"{self.name}: latency cannot be negative")
@@ -51,12 +51,12 @@ class CacheLevelConfig:
     @property
     def n_sets(self) -> int:
         """Number of sets (size / (ways * line))."""
-        return self.size_bytes // (self.ways * self.line_size)
+        return self.size_bytes // (self.ways * CACHELINE_SIZE)
 
     @property
     def n_lines(self) -> int:
         """Total line capacity."""
-        return self.size_bytes // self.line_size
+        return self.size_bytes // CACHELINE_SIZE
 
 
 @dataclass(slots=True)

@@ -22,7 +22,6 @@ from repro.common.errors import (
     KeyNotFoundError,
     RecoveryError,
     ReproError,
-    SimulationError,
 )
 from repro.common.rng import DEFAULT_SEED, DeterministicRng
 from repro.common.units import GIB, KIB, MIB, fmt_size, gib, kib, mib, parse_size
@@ -47,7 +46,6 @@ __all__ = [
     "KeyNotFoundError",
     "RecoveryError",
     "ReproError",
-    "SimulationError",
     "DEFAULT_SEED",
     "DeterministicRng",
     "GIB",

@@ -24,10 +24,6 @@ class AllocationError(ReproError):
     """The persistent-memory allocator ran out of space or was misused."""
 
 
-class SimulationError(ReproError):
-    """The discrete-event engine detected an impossible state."""
-
-
 class DataStoreError(ReproError):
     """A persistent data structure (CCEH, B+-tree, ...) was misused."""
 

@@ -13,9 +13,10 @@ Model notes (documented deviations in DESIGN.md):
   shares the cache hierarchy (its fills are visible to the worker) and
   competes for the same media read ports (real bandwidth contention).
 * Running too far ahead overflows the small on-DIMM buffers, so the
-  run-ahead ``depth`` is bounded; the paper empirically chose 8.
+  run-ahead depth (:data:`RUN_AHEAD_DEPTH`) is bounded; the paper
+  empirically chose 8.
 * Hyperthread resource sharing is modeled as a fixed cycle tax charged
-  to the worker per helper operation (``smt_overhead``): the two
+  to the worker per helper operation (:data:`SMT_OVERHEAD`): the two
   hardware threads share issue slots, so helper work is only free
   while the worker is stalled.  On Optane the worker is stalled most
   of the time (long media reads, fence waits) and the tax is far below
@@ -26,7 +27,6 @@ Model notes (documented deviations in DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.system.machine import Core, Machine
@@ -37,52 +37,38 @@ WorkItem = TypeVar("WorkItem")
 TraceFunction = Callable[[Core, WorkItem], None]
 
 
-@dataclass(frozen=True)
-class HelperConfig:
-    """Tuning of the helper thread."""
-
-    #: How many items the helper runs ahead of the worker.
-    depth: int = 8
-    #: Cycles of shared-pipeline capacity each helper op costs the worker.
-    smt_overhead: float = 230.0
-    enabled: bool = True
+#: How many items the helper runs ahead of the worker.
+RUN_AHEAD_DEPTH = 8
+#: Cycles of shared-pipeline capacity each helper op costs the worker.
+SMT_OVERHEAD = 230.0
 
 
 class HelperThread:
     """Depth-bounded run-ahead prefetcher over a known work stream."""
 
-    def __init__(
-        self,
-        machine: Machine,
-        trace: TraceFunction,
-        config: HelperConfig | None = None,
-        name: str = "helper",
-    ) -> None:
+    def __init__(self, machine: Machine, trace: TraceFunction, name: str = "helper") -> None:
         self.machine = machine
         self.trace = trace
-        self.config = config or HelperConfig()
         self.core = machine.new_core(name)
         self._next_index = 0
         self.items_prefetched = 0
 
     def sync_before(self, worker: Core, items: Sequence[WorkItem], worker_index: int) -> None:
-        """Bring the helper ``depth`` items ahead of ``worker_index``.
+        """Bring the helper :data:`RUN_AHEAD_DEPTH` items ahead of ``worker_index``.
 
         Called by the harness right before the worker processes item
         ``worker_index``.  The helper's clock never lags the worker's
         (it has nothing else to do), and each helper item charges the
         SMT tax to the worker.
         """
-        if not self.config.enabled:
-            return
-        target = min(worker_index + self.config.depth, len(items))
+        target = min(worker_index + RUN_AHEAD_DEPTH, len(items))
         while self._next_index < target:
             # The helper cannot act before the worker reaches "now".
             if self.core.now < worker.now:
                 self.core.now = worker.now
             self.trace(self.core, items[self._next_index])
             self.items_prefetched += 1
-            worker.now += self.config.smt_overhead
+            worker.now += SMT_OVERHEAD
             self._next_index += 1
 
     def reset(self) -> None:

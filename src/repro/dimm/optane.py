@@ -32,6 +32,11 @@ from repro.media.xpoint import XPointMedia
 from repro.sim.clock import Cycles
 from repro.stats.counters import TelemetryCounters
 
+#: Latency for the write buffer to accept one cacheline.
+INGEST_LATENCY = 40.0
+#: DDR-T burst transfer to the iMC after the media read completes.
+TRANSFER_LATENCY = 30.0
+
 
 @dataclass(slots=True)
 class ReadResponse:
@@ -69,13 +74,12 @@ class OptaneDimm:
         #: The machine's trace handle, installed by an ambient trace
         #: session (None ⇒ tracing off, see repro.trace.session).
         self.trace = None
-        self.media = XPointMedia(config.media, counters, name=f"{name}.media")
+        self.media = XPointMedia(config.ait, counters, name=f"{name}.media")
         self.read_buffer = ReadBuffer(config.read_buffer_bytes, name=f"{name}.rbuf")
         self.write_buffer = WriteBuffer(
             config.write_buffer_bytes,
             rng=rng,
             periodic_writeback=config.periodic_writeback,
-            writeback_period=config.writeback_period,
             name=f"{name}.wbuf",
             eviction=config.write_buffer_eviction,
         )
@@ -111,7 +115,7 @@ class OptaneDimm:
             if trace is not None:
                 trace.instant("wbuf", "underfill-fill", now, self.name, addr=addr)
                 trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
-            return ReadResponse(grant.finish + self.config.transfer_latency, "write-buffer-fill")
+            return ReadResponse(grant.finish + TRANSFER_LATENCY, "write-buffer-fill")
 
         if self.read_buffer.deliver(xpline, slot):
             self.counters.read_buffer_hits += 1
@@ -125,7 +129,7 @@ class OptaneDimm:
         if trace is not None:
             trace.instant("rbuf", "miss", now, self.name, addr=addr)
             trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
-        return ReadResponse(grant.finish + self.config.transfer_latency, "media")
+        return ReadResponse(grant.finish + TRANSFER_LATENCY, "media")
 
     # -- write path ----------------------------------------------------------
 
@@ -135,7 +139,7 @@ class OptaneDimm:
         xpline = xpline_index(addr)
         slot = cacheline_slot_in_xpline(addr)
         if self.write_buffer.contains(xpline):
-            outcome = self.write_buffer.write(now, xpline, slot)
+            writebacks = self.write_buffer.write(now, xpline, slot)
             self.counters.write_buffer_hits += 1
             event = "hit"
         elif self.config.enable_transition and self.read_buffer.contains(xpline):
@@ -143,25 +147,25 @@ class OptaneDimm:
             # write buffer; its media contents come along, so no
             # read-modify-write will be needed at eviction time.
             self.read_buffer.take(xpline)
-            outcome = self.write_buffer.adopt_from_read_buffer(now, xpline, slot)
+            writebacks = self.write_buffer.adopt_from_read_buffer(now, xpline, slot)
             self.counters.write_buffer_misses += 1
             self.counters.rmw_avoided += 1
             event = "transition"
         else:
-            outcome = self.write_buffer.write(now, xpline, slot)
+            writebacks = self.write_buffer.write(now, xpline, slot)
             self.counters.write_buffer_misses += 1
             event = "miss"
         if self.trace is not None:
             self.trace.instant("wbuf", event, now, self.name, addr=addr)
 
-        ingest_finish = now + self.config.ingest_latency
-        for writeback in outcome.writebacks:
+        ingest_finish = now + INGEST_LATENCY
+        for writeback in writebacks:
             write_start = self._schedule_writeback(now, writeback)
             # Buffer space is not actually free until the write-back has
             # been issued to the media: when the write port is backlogged
             # the ingest waits — the back-pressure that bounds sustained
             # write bandwidth (of any pattern) to the media drain rate.
-            ingest_finish = max(ingest_finish, write_start + self.config.ingest_latency)
+            ingest_finish = max(ingest_finish, write_start + INGEST_LATENCY)
 
         persist_completion = ingest_finish + self.config.persist_drain_latency
         return WriteResponse(ingest_finish, persist_completion)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.analysis import InstrumentedCore
-from repro.core.helper import HelperConfig, HelperThread
+from repro.core.helper import HelperThread
 from repro.datastores.cceh import CcehHashTable
 from repro.experiments.common import interleave_workers, split_round_robin
 from repro.persist.allocator import PmHeap
@@ -57,7 +57,6 @@ def timed_inserts(
     total_inserts: int,
     workers: int = 1,
     helper: bool = False,
-    helper_config: HelperConfig | None = None,
     region: str = "pm",
     instrument: bool = False,
     seed: int = 9,
@@ -76,7 +75,7 @@ def timed_inserts(
         cores.append(raw_core)
         share = shares[worker_index]
         helper_thread = (
-            HelperThread(machine, table.prefetch_trace, helper_config, name=f"helper{worker_index}")
+            HelperThread(machine, table.prefetch_trace, name=f"helper{worker_index}")
             if helper
             else None
         )

@@ -94,11 +94,7 @@ class CrashWorkload:
             # changes, but the event stream (program order) does not.
             base = OptaneDimmConfig.g1() if generation == 1 else OptaneDimmConfig.g2()
             overrides["optane"] = replace(
-                base,
-                media=replace(
-                    base.media,
-                    ait=AitConfig(coverage_bytes=XPLINE_SIZE, granule_bytes=XPLINE_SIZE),
-                ),
+                base, ait=AitConfig(coverage_bytes=XPLINE_SIZE, granule_bytes=XPLINE_SIZE)
             )
         self.machine = machine_for(
             generation, prefetchers=PrefetcherConfig.none(), seed=seed, eadr=eadr, **overrides

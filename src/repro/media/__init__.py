@@ -1,14 +1,10 @@
-"""Physical media models: 3D-XPoint, DRAM, and the AIT cache."""
+"""Physical media models: 3D-XPoint and the AIT cache."""
 
 from repro.media.ait import AitCache, AitConfig
-from repro.media.dram import DramConfig, DramMedia
-from repro.media.xpoint import XPointConfig, XPointMedia
+from repro.media.xpoint import XPointMedia
 
 __all__ = [
     "AitCache",
     "AitConfig",
-    "DramConfig",
-    "DramMedia",
-    "XPointConfig",
     "XPointMedia",
 ]

@@ -20,17 +20,18 @@ from repro.common.errors import ConfigError
 from repro.common.units import kib, mib
 from repro.stats.counters import TelemetryCounters
 
+#: Extra cycles charged to a media access on an AIT-cache miss.
+MISS_PENALTY = 200.0
+
 
 @dataclass(frozen=True)
 class AitConfig:
-    """Geometry and cost of the AIT cache."""
+    """Geometry of the AIT cache."""
 
     #: Bytes of PM address space whose translations fit in the cache.
     coverage_bytes: int = mib(16)
     #: Translation granule: one cached entry covers this many bytes.
     granule_bytes: int = kib(4)
-    #: Extra cycles charged to a media access on an AIT-cache miss.
-    miss_penalty: float = 200.0
 
     def validate(self) -> None:
         """Raise ConfigError on inconsistent AIT geometry."""
@@ -38,8 +39,6 @@ class AitConfig:
             raise ConfigError("AIT coverage and granule must be positive")
         if self.coverage_bytes % self.granule_bytes:
             raise ConfigError("AIT coverage must be a multiple of the granule")
-        if self.miss_penalty < 0:
-            raise ConfigError("AIT miss penalty cannot be negative")
 
     @property
     def entries(self) -> int:
@@ -79,7 +78,7 @@ class AitCache:
         self._entries[granule] = None
         if len(self._entries) > self.config.entries:
             self._entries.popitem(last=False)
-        return self.config.miss_penalty
+        return MISS_PENALTY
 
     def covers(self, addr: int) -> bool:
         """True if ``addr``'s translation granule is currently cached.

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE, cacheline_index
 from repro.common.errors import AddressError, ConfigError, RecoveryError
 from repro.common.rng import DeterministicRng
+from repro.media.ait import MISS_PENALTY
+from repro.media.xpoint import RMW_FACTOR, WRITE_LATENCY
 from repro.system.machine import Machine
 
 #: Cacheline slots per XPLine (4 with 64 B lines and 256 B XPLines).
@@ -262,9 +264,9 @@ class CrashSimulator:
         base_cost = []
         for xpline in resident:
             entry = buffer.entry(xpline)
-            cost = media.config.write_latency
+            cost = WRITE_LATENCY
             if not entry.fully_present:
-                cost *= media.config.rmw_factor
+                cost *= RMW_FACTOR
             base_cost.append(cost)
         budget = sum(base_cost)
         spent = 0.0
@@ -272,7 +274,7 @@ class CrashSimulator:
         for xpline, cost in zip(resident, base_cost):
             addr = xpline * XPLINE_SIZE
             if not media.ait.covers(addr):
-                cost += media.config.ait.miss_penalty
+                cost += MISS_PENALTY
             spent += cost
             if spent > budget:
                 entry = buffer.discard(xpline)

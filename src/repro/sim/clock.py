@@ -1,46 +1,11 @@
-"""Cycle clock primitives.
+"""Cycle time.
 
 The simulator measures everything in *CPU cycles* of the simulated
 machine.  Each thread context carries its own local time (threads make
 progress independently); shared devices deal in absolute timestamps,
-so a plain float is the universal currency.  :class:`Clock` is the
-convenience wrapper used by single-threaded experiment loops.
+so a plain float is the universal currency.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import SimulationError
-
 Cycles = float
-
-
-class Clock:
-    """A monotonically non-decreasing cycle counter."""
-
-    def __init__(self, start: Cycles = 0.0) -> None:
-        self._now: Cycles = float(start)
-
-    @property
-    def now(self) -> Cycles:
-        """Current simulated time in cycles."""
-        return self._now
-
-    def advance(self, cycles: Cycles) -> Cycles:
-        """Move time forward by ``cycles`` (must be >= 0); returns new now."""
-        if cycles < 0:
-            raise SimulationError(f"cannot advance clock by negative {cycles}")
-        self._now += cycles
-        return self._now
-
-    def advance_to(self, timestamp: Cycles) -> Cycles:
-        """Move time forward to ``timestamp`` if it is in the future."""
-        if timestamp > self._now:
-            self._now = timestamp
-        return self._now
-
-    def reset(self, start: Cycles = 0.0) -> None:
-        """Rewind to ``start`` (only sensible between experiments)."""
-        self._now = float(start)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Clock(now={self._now:.0f})"

@@ -49,30 +49,6 @@ class InflightPersists:
             return None
         return completion
 
-    def drain_time(self, now: Cycles) -> Cycles:
-        """Earliest time by which *every* outstanding persist completes.
-
-        Used by operations with wait-for-completion semantics (e.g. a
-        simulated crash-consistent checkpoint that must be durable).
-        """
-        self.prune(now)
-        if not self._completion_by_line:
-            return now
-        return max(self._completion_by_line.values())
-
-    def pending_count(self, now: Cycles) -> int:
-        """Number of persists still in flight at ``now``."""
-        self.prune(now)
-        return len(self._completion_by_line)
-
-    def prune(self, now: Cycles) -> None:
-        """Drop entries whose persist completed at or before ``now``."""
-        if not self._completion_by_line:
-            return
-        done = [line for line, t in self._completion_by_line.items() if t <= now]
-        for line in done:
-            del self._completion_by_line[line]
-
     def clear(self) -> None:
         """Forget all in-flight persists (e.g. simulated power cycle)."""
         self._completion_by_line.clear()

@@ -42,18 +42,6 @@ class ServicePorts:
             raise ConfigError(f"{name}: need at least one port, got {ports}")
         self.name = name
         self._busy_until: list[Cycles] = [0.0] * ports
-        self.total_requests = 0
-        self.total_busy_cycles = 0.0
-        self.total_queue_cycles = 0.0
-
-    @property
-    def port_count(self) -> int:
-        """Number of parallel servers."""
-        return len(self._busy_until)
-
-    def earliest_start(self, now: Cycles) -> Cycles:
-        """Earliest time a request arriving at ``now`` could begin service."""
-        return max(now, min(self._busy_until))
 
     def acquire(self, now: Cycles, service_time: Cycles) -> ServiceGrant:
         """Reserve the earliest-free port for ``service_time`` cycles.
@@ -68,20 +56,8 @@ class ServicePorts:
         start = max(now, self._busy_until[index])
         finish = start + service_time
         self._busy_until[index] = finish
-        self.total_requests += 1
-        self.total_busy_cycles += service_time
-        self.total_queue_cycles += start - now
         return ServiceGrant(start=start, finish=finish)
 
-    def utilization(self, horizon: Cycles) -> float:
-        """Fraction of port-cycles busy over ``[0, horizon]``."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_cycles / (horizon * self.port_count))
-
     def reset(self) -> None:
-        """Free all ports and zero statistics."""
-        self._busy_until = [0.0] * self.port_count
-        self.total_requests = 0
-        self.total_busy_cycles = 0.0
-        self.total_queue_cycles = 0.0
+        """Free all ports."""
+        self._busy_until = [0.0] * len(self._busy_until)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigError
 from repro.common.constants import cacheline_index
 from repro.sim.clock import Cycles
 from repro.sim.inflight import InflightPersists
@@ -42,33 +41,27 @@ class WpqGrant:
 class IMCChannel:
     """WPQ/RPQ front of one DIMM (Optane or DRAM)."""
 
-    def __init__(
-        self,
-        device,
-        wpq_slots: int = 16,
-        accept_latency: float = 60.0,
-        name: str = "ch0",
-    ) -> None:
-        if wpq_slots <= 0:
-            raise ConfigError(f"{name}: wpq_slots must be positive")
-        if accept_latency < 0:
-            raise ConfigError(f"{name}: accept_latency cannot be negative")
+    #: Depth of the write pending queue.
+    WPQ_SLOTS = 16
+    #: Cycles for a flush/nt-store to become globally visible (what a
+    #: fence waits for): the DDR-T transfer + WPQ insertion.  Real
+    #: persist barriers on Optane cost a few hundred cycles even with
+    #: an idle queue.
+    ACCEPT_LATENCY = 200.0
+
+    def __init__(self, device, name: str = "ch0") -> None:
         self.device = device
         self.name = name
         #: The machine's trace handle, installed by an ambient trace
         #: session (None ⇒ tracing off, see repro.trace.session).
         self.trace = None
-        self.accept_latency = accept_latency
-        self._wpq_busy: list[Cycles] = [0.0] * wpq_slots
+        self._wpq_busy: list[Cycles] = [0.0] * self.WPQ_SLOTS
         self.inflight = InflightPersists()
-        self.writes_issued = 0
-        self.reads_issued = 0
 
     # -- read side ---------------------------------------------------------
 
     def read(self, now: Cycles, addr: int, demand: bool = True):
         """Synchronous cacheline read from the DIMM."""
-        self.reads_issued += 1
         return self.device.read_line(now, addr, demand=demand)
 
     def persist_stall(self, now: Cycles, addr: int) -> Cycles | None:
@@ -93,10 +86,9 @@ class IMCChannel:
         the DIMM ingests the line.  Registers the persist completion in
         the in-flight tracker.
         """
-        self.writes_issued += 1
         index = self._wpq_busy.index(min(self._wpq_busy))
         issue_ready = max(now, self._wpq_busy[index])
-        acceptance = issue_ready + self.accept_latency
+        acceptance = issue_ready + self.ACCEPT_LATENCY
         prior = self.inflight.completion_for(cacheline_index(addr), now)
         if prior is not None:
             acceptance += min(prior - now, self.SAME_LINE_HAZARD_CAP)
@@ -115,11 +107,6 @@ class IMCChannel:
         )
 
     # -- maintenance ------------------------------------------------------------
-
-    @property
-    def wpq_slots(self) -> int:
-        """Depth of the write pending queue."""
-        return len(self._wpq_busy)
 
     def wpq_occupancy(self, now: Cycles) -> int:
         """Number of WPQ slots still busy at ``now``."""
@@ -146,6 +133,4 @@ class IMCChannel:
         """Clear queue state and in-flight persists."""
         self._wpq_busy = [0.0] * len(self._wpq_busy)
         self.inflight.clear()
-        self.writes_issued = 0
-        self.reads_issued = 0
         self.device.reset()

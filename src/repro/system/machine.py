@@ -45,17 +45,20 @@ from repro.stats.counters import TelemetryCounters, TelemetryRegistry
 from repro.system.imc import IMCChannel
 
 
+#: Instruction-issue and fence costs, in cycles.
+STORE_BUFFER_LATENCY = 14.0
+CLWB_ISSUE = 8.0
+CLFLUSH_ISSUE = 12.0
+NTSTORE_ISSUE = 10.0
+SFENCE_COST = 20.0
+MFENCE_COST = 30.0
+STREAM_LOAD_ISSUE = 10.0
+
+
 @dataclass(frozen=True)
 class CoreTiming:
-    """Instruction-issue costs and ordering-window parameters."""
+    """The clwb coherence cost and the sfence ordering-window parameters."""
 
-    store_buffer_latency: float = 14.0
-    clwb_issue: float = 8.0
-    clflush_issue: float = 12.0
-    ntstore_issue: float = 10.0
-    sfence_cost: float = 20.0
-    mfence_cost: float = 30.0
-    stream_load_issue: float = 10.0
     #: Extra clwb cost on G2 (cacheline retained ⇒ coherence upkeep).
     clwb_coherence_cost: float = 0.0
     #: How many recent flushes a load may overtake under sfence ordering.
@@ -73,7 +76,6 @@ class RegionSpec:
     base: int
     size: int
     dimms: int = 1
-    interleave_bytes: int = 4096
     remote: bool = False
     #: NUMA adders applied when ``remote`` is True.
     remote_read_adder: float = 0.0
@@ -84,7 +86,7 @@ class RegionSpec:
         """Raise ConfigError on an invalid region spec."""
         if self.kind not in ("pm", "dram"):
             raise ConfigError(f"region {self.name}: unknown kind {self.kind!r}")
-        if self.size <= 0 or self.dimms <= 0 or self.interleave_bytes <= 0:
+        if self.size <= 0 or self.dimms <= 0:
             raise ConfigError(f"region {self.name}: sizes must be positive")
 
     @property
@@ -93,6 +95,8 @@ class RegionSpec:
         return self.base + self.size
 
 
+#: Bytes of a region mapped to one DIMM before the next takes over.
+INTERLEAVE_BYTES = 4096
 #: Default region bases, far apart so regions can grow in tests.
 PM_BASE = 1 << 40
 DRAM_BASE = 1 << 30
@@ -109,19 +113,12 @@ REMOTE_DRAM_PERSIST_ADDER = 150.0
 class MachineConfig:
     """Everything needed to build a simulated testbed."""
 
-    generation: int = 1
     caches: CacheHierarchyConfig = field(default_factory=CacheHierarchyConfig)
     prefetchers: PrefetcherConfig = field(default_factory=PrefetcherConfig)
     optane: OptaneDimmConfig = field(default_factory=OptaneDimmConfig)
     dram: DramDimmConfig = field(default_factory=DramDimmConfig)
     timing: CoreTiming = field(default_factory=CoreTiming)
     regions: tuple[RegionSpec, ...] = ()
-    wpq_slots: int = 16
-    #: Cycles for a flush/nt-store to become globally visible (what a
-    #: fence waits for): the DDR-T transfer + WPQ insertion.  Real
-    #: persist barriers on Optane cost a few hundred cycles even with
-    #: an idle queue.
-    wpq_accept_latency: float = 200.0
     #: G2 retains flushed cachelines (eliminating clwb RAP, §3.5).
     clwb_retains: bool = False
     #: Extended ADR (paper §6): the CPU caches join the persistence
@@ -137,8 +134,6 @@ class MachineConfig:
 
     def validate(self) -> None:
         """Validate the whole machine configuration."""
-        if self.generation not in (1, 2):
-            raise ConfigError(f"unknown generation {self.generation}")
         self.caches.validate()
         self.optane.validate()
         self.dram.validate()
@@ -153,7 +148,7 @@ class MachineConfig:
 class _Region:
     """Instantiated region: spec + its iMC channels.
 
-    The address bounds and interleave geometry are copied into plain
+    The address bounds and channel count are copied into plain
     attributes: routing runs on every simulated access.
     """
 
@@ -162,14 +157,13 @@ class _Region:
         self.channels = channels
         self.base = spec.base
         self.end = spec.end
-        self.interleave = spec.interleave_bytes
         self.n_channels = len(channels)
 
     def channel_for(self, addr: int) -> IMCChannel:
         """Route ``addr`` to its interleaved iMC channel."""
         if self.n_channels == 1:
             return self.channels[0]
-        return self.channels[((addr - self.base) // self.interleave) % self.n_channels]
+        return self.channels[((addr - self.base) // INTERLEAVE_BYTES) % self.n_channels]
 
 
 class Machine:
@@ -220,14 +214,7 @@ class Machine:
                 )
             else:
                 device = DramDimm(self.config.dram, counters, name=name)
-            channels.append(
-                IMCChannel(
-                    device,
-                    wpq_slots=self.config.wpq_slots,
-                    accept_latency=self.config.wpq_accept_latency,
-                    name=f"imc.{name}",
-                )
-            )
+            channels.append(IMCChannel(device, name=f"imc.{name}"))
         return _Region(spec, channels)
 
     # -- address routing -----------------------------------------------------
@@ -351,7 +338,7 @@ class Machine:
         line = cacheline_index(addr)
         result = self.caches.access(line, is_write=True)
         if result.hit_level is not None:
-            finish = now + min(result.latency, self.config.timing.store_buffer_latency)
+            finish = now + min(result.latency, STORE_BUFFER_LATENCY)
             self._handle_llc_writebacks(result.memory_writebacks, now)
         else:
             # Write-allocate: the RFO read happens in the background and
@@ -361,7 +348,7 @@ class Machine:
             channel.read(now, addr, demand=True)
             writebacks = self.caches.fill(line, dirty=True, into_l1=True)
             self._handle_llc_writebacks(writebacks, now)
-            finish = now + self.config.timing.store_buffer_latency
+            finish = now + STORE_BUFFER_LATENCY
         self._observe(now, line, result.hit_level)
         return finish
 
@@ -397,13 +384,12 @@ class Machine:
         if self.trace is not None:
             self.trace.on_op(now)
         line = cacheline_index(addr)
-        timing = self.config.timing
-        retained = not invalidate
         if invalidate:
             dirty = self.caches.invalidate(line)
+            cost = CLWB_ISSUE
         else:
             dirty = self.caches.clean(line)
-        cost = timing.clwb_issue + (timing.clwb_coherence_cost if retained else 0.0)
+            cost = CLWB_ISSUE + self.config.timing.clwb_coherence_cost
         if not dirty:
             return now + cost
         region = self.region_of(addr)
@@ -432,7 +418,7 @@ class Machine:
         region = self.region_of(addr)
         channel = region.channel_for(addr)
         issued = self._persist_line(now, addr, line, region, channel, core, "nt-store")
-        return issued + self.config.timing.ntstore_issue
+        return issued + NTSTORE_ISSUE
 
     # -- internals ---------------------------------------------------------------
 
@@ -591,10 +577,7 @@ class Core:
         start = self.now
         for line_addr in self._lines(addr, size):
             self.loads += 1
-            self.now = (
-                self.machine.stream_load(self.now, line_addr)
-                + self.machine.config.timing.stream_load_issue
-            )
+            self.now = self.machine.stream_load(self.now, line_addr) + STREAM_LOAD_ISSUE
         return self.now - start
 
     # -- persistence primitives -----------------------------------------------------
@@ -622,7 +605,7 @@ class Core:
         for line_addr in self._lines(addr, size):
             self.flushes += 1
             self.now = self.machine.flush_line(self.now, line_addr, self, invalidate=True)
-            self.now += self.machine.config.timing.clflush_issue
+            self.now += CLFLUSH_ISSUE
             if self._pending_acceptances:
                 self.now = max(self.now, self._pending_acceptances[-1])
         return self.now - start
@@ -632,7 +615,7 @@ class Core:
         start = self.now
         self.fences += 1
         target = max(self._pending_acceptances, default=self.now)
-        self.now = max(self.now + self.machine.config.timing.sfence_cost, target)
+        self.now = max(self.now + SFENCE_COST, target)
         self._pending_acceptances.clear()
         self.last_fence = "sfence"
         self._trace_fence("sfence", start)
@@ -643,7 +626,7 @@ class Core:
         start = self.now
         self.fences += 1
         target = max(self._pending_acceptances, default=self.now)
-        self.now = max(self.now + self.machine.config.timing.mfence_cost, target)
+        self.now = max(self.now + MFENCE_COST, target)
         self._pending_acceptances.clear()
         self._recent_flushes.clear()
         self.last_fence = "mfence"

@@ -17,7 +17,6 @@ from repro.cache.prefetch import PrefetcherConfig
 from repro.common.rng import DEFAULT_SEED
 from repro.common.units import gib
 from repro.dimm.config import DramDimmConfig, OptaneDimmConfig
-from repro.media.dram import DramConfig
 from repro.system.machine import (
     DRAM_BASE,
     PM_BASE,
@@ -85,12 +84,7 @@ def _apply_ambient(config: MachineConfig) -> MachineConfig:
     return config
 
 
-def _regions(
-    pm_dimms: int,
-    remote_pm: bool,
-    remote_dram: bool,
-    interleave_bytes: int = 4096,
-) -> tuple[RegionSpec, ...]:
+def _regions(pm_dimms: int, remote_pm: bool, remote_dram: bool) -> tuple[RegionSpec, ...]:
     regions = [
         RegionSpec(
             name="pm",
@@ -98,7 +92,6 @@ def _regions(
             base=PM_BASE,
             size=PM_REGION_SIZE,
             dimms=pm_dimms,
-            interleave_bytes=interleave_bytes,
         ),
         RegionSpec(name="dram", kind="dram", base=DRAM_BASE, size=DRAM_REGION_SIZE),
     ]
@@ -110,7 +103,6 @@ def _regions(
                 base=REMOTE_PM_BASE,
                 size=PM_REGION_SIZE,
                 dimms=pm_dimms,
-                interleave_bytes=interleave_bytes,
                 remote=True,
                 remote_read_adder=REMOTE_PM_READ_ADDER,
                 remote_write_adder=80.0,
@@ -143,7 +135,6 @@ def g1_machine(
 ) -> Machine:
     """The G1 testbed: Xeon Gold 6230 + 100-series Optane DCPMM."""
     config = MachineConfig(
-        generation=1,
         caches=CacheHierarchyConfig.g1(),
         prefetchers=prefetchers if prefetchers is not None else PrefetcherConfig(),
         optane=OptaneDimmConfig.g1(),
@@ -176,14 +167,10 @@ def g2_machine(
     (the G2 server clocks higher).
     """
     config = MachineConfig(
-        generation=2,
         caches=CacheHierarchyConfig.g2(),
         prefetchers=prefetchers if prefetchers is not None else PrefetcherConfig(),
         optane=OptaneDimmConfig.g2(),
-        dram=DramDimmConfig(
-            persist_drain_latency=520.0,
-            media=DramConfig(read_latency=210.0, write_latency=210.0),
-        ),
+        dram=DramDimmConfig(read_latency=210.0, write_latency=210.0, persist_drain_latency=520.0),
         timing=CoreTiming(clwb_coherence_cost=150.0),
         regions=_regions(pm_dimms, remote_pm, remote_dram),
         clwb_retains=True,

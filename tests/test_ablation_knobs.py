@@ -15,8 +15,8 @@ class TestWriteBufferEviction:
         )
         buffer.write(0.0, 10, 0)
         buffer.write(0.0, 11, 0)
-        outcome = buffer.write(0.0, 12, 0)
-        assert outcome.writebacks[0].xpline == 10
+        writebacks = buffer.write(0.0, 12, 0)
+        assert writebacks[0].xpline == 10
 
     def test_unknown_eviction_rejected(self):
         with pytest.raises(ConfigError):

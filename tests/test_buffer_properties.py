@@ -132,9 +132,8 @@ class TestWriteBufferProperties:
         )
         evictions = []
         for position, xpline in enumerate(order):
-            outcome = buffer.write(float(position), xpline, slot=0)
-            assert not outcome.hit  # each XPLine visited exactly once
-            evictions.extend(outcome.writebacks)
+            assert not buffer.contains(xpline)  # each XPLine visited exactly once
+            evictions.extend(buffer.write(float(position), xpline, slot=0))
         drained = buffer.drain_all()
         assert len(evictions) == max(0, len(order) - capacity_lines)
         assert len(evictions) + len(drained) == len(order)
@@ -154,7 +153,7 @@ class TestWriteBufferProperties:
         now = 0.0
         for xpline in order:
             for slot in range(4):
-                writebacks.extend(buffer.write(now, xpline, slot).writebacks)
+                writebacks.extend(buffer.write(now, xpline, slot))
                 now += 1.0
         writebacks.extend(buffer.drain_all())
         assert len(writebacks) == len(order)
@@ -177,7 +176,7 @@ class TestWriteBufferProperties:
             buffer = WriteBuffer(3 * XPLINE_SIZE, rng=DeterministicRng(seed))
             out = []
             for position, (xpline, slot) in enumerate(writes):
-                out.extend(buffer.write(float(position), xpline, slot).writebacks)
+                out.extend(buffer.write(float(position), xpline, slot))
             out.extend(buffer.drain_all())
             return out
 

@@ -7,6 +7,7 @@ from repro.common.constants import cacheline_index
 from repro.common.errors import ConfigError, RecoveryError
 from repro.datastores.cceh import CcehHashTable
 from repro.persist import CrashSimulator, DurabilityChecker, FaultMode, PmHeap
+from repro.system.machine import INTERLEAVE_BYTES
 from repro.system.presets import g1_machine
 from repro.workloads import insert_only_stream
 
@@ -129,7 +130,7 @@ class TestCrashReportDetails:
         # One nt_store per channel: interleaving maps consecutive
         # interleave-granule chunks to alternating DIMMs.
         for chunk in range(2):
-            core.nt_store(spec.base + chunk * spec.interleave_bytes, 64)
+            core.nt_store(spec.base + chunk * INTERLEAVE_BYTES, 64)
         report = CrashSimulator(machine).power_failure(core.now)
         drained = dict(report.drained_by_dimm)
         assert set(drained) == {"pm0", "pm1"}

@@ -30,6 +30,18 @@ A fifth rule catches dead methods that the third rule's word match
 lets through when the name is a common word: every public method of a
 top-level class under ``src/repro`` is loaded as an attribute somewhere
 in the same four trees, by the same test as the fourth rule.
+
+A sixth rule keeps the machine configuration to the knobs a caller
+turns.  It covers ``MachineConfig``, every dataclass its field
+annotations reach, and ``HelperConfig`` if one is defined.  Each field
+must be (a) loaded as an attribute somewhere under ``src/repro``
+outside a ``validate()`` method, and (b) given a value under
+``src/repro`` outside its own field declarations: as a keyword
+argument (unless the value is ``<obj>.<same name>``, which only
+forwards it), as a positional argument to its class, or as a string
+key of a dict literal.  A field no product code sets is a constant and
+belongs next to its reader as one.  Names are matched, not types, so a
+keyword shared by two classes counts for both.
 """
 
 import ast
@@ -213,3 +225,99 @@ def test_every_public_method_is_loaded_as_an_attribute():
         if name not in loaded
     ]
     assert not dead, "public methods never loaded as an attribute: " + ", ".join(dead)
+
+
+#: Roots of the configuration tree the sixth rule covers.
+CONFIG_ROOTS = ("MachineConfig", "HelperConfig")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(trees) -> dict[str, list[ast.AnnAssign]]:
+    """Field declarations of every top-level dataclass, in field order."""
+    fields = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields[node.name] = [
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+    return fields
+
+
+def _config_classes(fields: dict[str, list[ast.AnnAssign]]) -> list[str]:
+    """The roots plus every dataclass their field annotations reach."""
+    reached: list[str] = []
+    todo = [root for root in CONFIG_ROOTS if root in fields]
+    while todo:
+        name = todo.pop(0)
+        if name in reached:
+            continue
+        reached.append(name)
+        for declaration in fields[name]:
+            names = {node.id for node in ast.walk(declaration.annotation)
+                     if isinstance(node, ast.Name)}
+            names |= _quoted_annotation_names(declaration.annotation)
+            todo.extend(sorted(names & fields.keys()))
+    return reached
+
+
+def _loads_outside_validate(node: ast.AST, loaded: set[str]) -> None:
+    if isinstance(node, ast.FunctionDef) and node.name == "validate":
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        loaded.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _loads_outside_validate(child, loaded)
+
+
+def test_every_config_field_is_read_and_varied():
+    trees = [_parse(path) for path in sorted(SRC.rglob("*.py"))]
+    fields = _dataclass_fields(trees)
+    # Nodes inside a class's own field declarations (defaults and
+    # default factories) do not count as giving that class's fields a value.
+    declared_in = {
+        id(node): name
+        for name, declarations in fields.items()
+        for declaration in declarations
+        for node in ast.walk(declaration)
+    }
+    loaded: set[str] = set()
+    named: set[tuple[str, str | None]] = set()  # (field name, declaring class)
+    positional: set[tuple[str, str]] = set()  # (class, field name)
+    for tree in trees:
+        _loads_outside_validate(tree, loaded)
+        for node in ast.walk(tree):
+            owner = declared_in.get(id(node))
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                forwarded = isinstance(node.value, ast.Attribute) and node.value.attr == node.arg
+                if not forwarded:
+                    named.add((node.arg, owner))
+            elif isinstance(node, ast.Dict):
+                named.update((key.value, owner) for key in node.keys
+                             if isinstance(key, ast.Constant) and isinstance(key.value, str))
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in fields and callee != owner:
+                    for declaration, arg in zip(fields[callee], node.args):
+                        if isinstance(arg, ast.Starred):
+                            break
+                        positional.add((callee, declaration.target.id))
+    flagged = []
+    for name in _config_classes(fields):
+        for declaration in fields[name]:
+            field = declaration.target.id
+            varied = (name, field) in positional or any(
+                key == field and owner != name for key, owner in named
+            )
+            if field not in loaded or not varied:
+                flagged.append(f"{name}.{field}")
+    assert not flagged, "config fields never read or never set (make them constants): " + ", ".join(flagged)

@@ -7,8 +7,6 @@ from repro.common.units import kib
 from repro.dimm.config import DramDimmConfig, OptaneDimmConfig
 from repro.dimm.dram import DramDimm
 from repro.dimm.optane import OptaneDimm
-from repro.media.ait import AitConfig
-from repro.media.xpoint import XPointConfig
 from repro.stats.counters import TelemetryCounters
 
 
@@ -25,14 +23,12 @@ def make_optane(generation=1, **overrides):
 class TestOptaneConfig:
     def test_g1_preset(self):
         config = OptaneDimmConfig.g1()
-        assert config.generation == 1
         assert config.read_buffer_bytes == kib(16)
         assert config.write_buffer_bytes == kib(12)
         assert config.periodic_writeback
 
     def test_g2_preset(self):
         config = OptaneDimmConfig.g2()
-        assert config.generation == 2
         assert config.read_buffer_bytes == kib(22)
         assert config.write_buffer_bytes == kib(16)
         assert not config.periodic_writeback
@@ -48,7 +44,7 @@ class TestOptaneConfig:
         import dataclasses
         from repro.common.errors import ConfigError
 
-        bad = dataclasses.replace(OptaneDimmConfig.g1(), generation=3)
+        bad = dataclasses.replace(OptaneDimmConfig.g1(), read_buffer_bytes=0)
         with pytest.raises(ConfigError):
             bad.validate()
 

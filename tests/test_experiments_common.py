@@ -123,8 +123,8 @@ class TestInterleaveWorkers:
 
 class TestPresets:
     def test_machine_for_dispatch(self):
-        assert machine_for(1).config.generation == 1
-        assert machine_for(2).config.generation == 2
+        assert not machine_for(1).config.clwb_retains
+        assert machine_for(2).config.clwb_retains
         with pytest.raises(ValueError):
             machine_for(3)
 
@@ -144,8 +144,8 @@ class TestPresets:
         assert len(names) == 6
 
     def test_config_overrides_passthrough(self):
-        machine = g1_machine(wpq_slots=4)
-        assert machine.config.wpq_slots == 4
+        machine = g1_machine(frequency_ghz=3.5)
+        assert machine.config.frequency_ghz == 3.5
 
     def test_seed_changes_rng(self):
         a = g1_machine(seed=1)

@@ -8,6 +8,8 @@ from repro.common.units import kib
 from repro.core.microbench.pointer_chase import PointerChaseBench
 from repro.persist import PmHeap
 from repro.persist.persistency import PersistencyModel
+from repro.system.imc import IMCChannel
+from repro.system.machine import SFENCE_COST
 from repro.system.presets import g1_machine, g2_machine, machine_for
 
 
@@ -33,8 +35,8 @@ class TestClflushVariants:
         cost = core.clflush(addr)
         # Legacy clflush is ordered: its cost already includes the
         # acceptance wait, so a following fence adds almost nothing.
-        assert cost >= machine.config.wpq_accept_latency
-        assert core.sfence() <= machine.config.timing.sfence_cost + 1
+        assert cost >= IMCChannel.ACCEPT_LATENCY
+        assert core.sfence() <= SFENCE_COST + 1
 
     def test_clflushopt_cheaper_than_clflush(self):
         machine = quiet(1)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cache.prefetch import PrefetcherConfig
 from repro.core.analysis import InstrumentedCore, read_write_summary
-from repro.core.helper import HelperConfig, HelperThread
+from repro.core import helper as helper_module
+from repro.core.helper import HelperThread
 from repro.persist.allocator import PmHeap
 from repro.system.presets import g1_machine
 
@@ -82,45 +83,51 @@ class _Trace:
         core.load(self.addrs[item], 8)
 
 
+@pytest.fixture
+def tune(monkeypatch):
+    """Set the helper's run-ahead depth and SMT tax: ``tune(depth, smt_overhead)``."""
+
+    def set_tuning(depth, smt_overhead=0.0):
+        monkeypatch.setattr(helper_module, "RUN_AHEAD_DEPTH", depth)
+        monkeypatch.setattr(helper_module, "SMT_OVERHEAD", smt_overhead)
+
+    return set_tuning
+
+
 class TestHelperThread:
-    def test_runs_ahead_by_depth(self):
+    def test_runs_ahead_by_depth(self, tune):
+        tune(4)
         machine, heap = setup()
         addrs = [heap.pm.alloc(256, align=256) for _ in range(20)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(depth=4, smt_overhead=0))
+        helper = HelperThread(machine, _Trace(addrs))
         worker = machine.new_core("worker")
         helper.sync_before(worker, list(range(20)), 0)
         assert helper.items_prefetched == 4
 
-    def test_prefetch_warms_cache(self):
+    def test_prefetch_warms_cache(self, tune):
+        tune(2)
         machine, heap = setup()
         addrs = [heap.pm.alloc(256, align=256) for _ in range(10)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(depth=2, smt_overhead=0))
+        helper = HelperThread(machine, _Trace(addrs))
         worker = machine.new_core("worker")
         helper.sync_before(worker, list(range(10)), 0)
         cost = worker.load(addrs[0], 8)
         assert cost < 100  # served from cache, not media
 
-    def test_smt_overhead_charged_to_worker(self):
+    def test_smt_overhead_charged_to_worker(self, tune):
+        tune(5, smt_overhead=100)
         machine, heap = setup()
         addrs = [heap.pm.alloc(256, align=256) for _ in range(10)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(depth=5, smt_overhead=100))
+        helper = HelperThread(machine, _Trace(addrs))
         worker = machine.new_core("worker")
         helper.sync_before(worker, list(range(10)), 0)
         assert worker.now == pytest.approx(500)
 
-    def test_disabled_helper_is_noop(self):
-        machine, heap = setup()
-        addrs = [heap.pm.alloc(256, align=256) for _ in range(10)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(enabled=False))
-        worker = machine.new_core("worker")
-        helper.sync_before(worker, list(range(10)), 0)
-        assert helper.items_prefetched == 0
-        assert worker.now == 0
-
-    def test_depth_bounded_no_overrun(self):
+    def test_depth_bounded_no_overrun(self, tune):
+        tune(3)
         machine, heap = setup()
         addrs = [heap.pm.alloc(256, align=256) for _ in range(6)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(depth=3, smt_overhead=0))
+        helper = HelperThread(machine, _Trace(addrs))
         worker = machine.new_core("worker")
         items = list(range(6))
         helper.sync_before(worker, items, 0)
@@ -128,19 +135,21 @@ class TestHelperThread:
         helper.sync_before(worker, items, 5)
         assert helper.items_prefetched == 6  # capped at len(items)
 
-    def test_helper_clock_tracks_worker(self):
+    def test_helper_clock_tracks_worker(self, tune):
+        tune(1)
         machine, heap = setup()
         addrs = [heap.pm.alloc(256, align=256) for _ in range(10)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(depth=1, smt_overhead=0))
+        helper = HelperThread(machine, _Trace(addrs))
         worker = machine.new_core("worker")
         worker.tick(10_000)
         helper.sync_before(worker, list(range(10)), 0)
         assert helper.core.now >= 10_000
 
-    def test_reset(self):
+    def test_reset(self, tune):
+        tune(4)
         machine, heap = setup()
         addrs = [heap.pm.alloc(256, align=256) for _ in range(4)]
-        helper = HelperThread(machine, _Trace(addrs), HelperConfig(depth=4, smt_overhead=0))
+        helper = HelperThread(machine, _Trace(addrs))
         worker = machine.new_core("worker")
         helper.sync_before(worker, list(range(4)), 0)
         helper.reset()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.dimm.config import OptaneDimmConfig
 from repro.dimm.optane import OptaneDimm, WriteResponse
@@ -10,16 +9,24 @@ from repro.stats.counters import TelemetryCounters
 from repro.system.imc import IMCChannel
 
 
-def make_channel(wpq_slots=4, accept=60.0, **dimm_overrides):
-    import dataclasses
+@pytest.fixture
+def wpq(monkeypatch):
+    """Shrink the WPQ for one test: ``wpq(slots)``; acceptance takes 60 cycles."""
 
-    config = OptaneDimmConfig.g1()
-    if dimm_overrides:
-        config = dataclasses.replace(config, **dimm_overrides)
-    dimm = OptaneDimm(config, TelemetryCounters(), DeterministicRng(2))
-    return IMCChannel(dimm, wpq_slots=wpq_slots, accept_latency=accept)
+    def shrink(slots=4):
+        monkeypatch.setattr(IMCChannel, "WPQ_SLOTS", slots)
+        monkeypatch.setattr(IMCChannel, "ACCEPT_LATENCY", 60.0)
+
+    shrink()
+    return shrink
 
 
+def make_channel():
+    dimm = OptaneDimm(OptaneDimmConfig.g1(), TelemetryCounters(), DeterministicRng(2))
+    return IMCChannel(dimm)
+
+
+@pytest.mark.usefixtures("wpq")
 class TestWpqBasics:
     def test_acceptance_after_accept_latency(self):
         channel = make_channel()
@@ -32,14 +39,8 @@ class TestWpqBasics:
         grant = channel.write(0.0, 0)
         assert grant.persist_completion > grant.acceptance + 1000
 
-    def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            make_channel(wpq_slots=0)
-        with pytest.raises(ConfigError):
-            make_channel(accept=-1)
-
     def test_occupancy(self):
-        channel = make_channel(wpq_slots=4)
+        channel = make_channel()
         channel.write(0.0, 0)
         assert channel.wpq_occupancy(0.0) == 1
         assert channel.wpq_occupancy(1e9) == 0
@@ -57,11 +58,12 @@ class FixedIngestDevice:
 
 
 class TestWpqSlotPick:
-    def test_equal_now_fills_slots_in_index_order(self):
+    def test_equal_now_fills_slots_in_index_order(self, wpq):
         # Which of several equally free slots is taken does not show in
         # the grant times, so the WPQ busy-until list is checked directly.
+        wpq(3)
         ingest = [100.0, 100.0, 100.0, 50.0, 70.0, 10.0, 5.0, 5.0]
-        channel = IMCChannel(FixedIngestDevice(ingest), wpq_slots=3, accept_latency=60.0)
+        channel = IMCChannel(FixedIngestDevice(ingest))
         expected = [
             # (issue_ready, WPQ busy-until after the write)
             (0.0, [160.0, 0.0, 0.0]),
@@ -81,11 +83,12 @@ class TestWpqSlotPick:
 
 
 class TestBackPressure:
-    def test_wpq_fills_under_eviction_storm(self):
+    def test_wpq_fills_under_eviction_storm(self, wpq):
         # Distinct XPLines overflow the write buffer; each ingest then
         # waits on a media write, keeping WPQ slots busy and delaying
         # issue_ready for subsequent stores.
-        channel = make_channel(wpq_slots=2)
+        wpq(2)
+        channel = make_channel()
         issue_delays = []
         now = 0.0
         for index in range(200):
@@ -95,8 +98,9 @@ class TestBackPressure:
         assert issue_delays[0] == 0.0
         assert max(issue_delays[-20:]) > 100.0  # saturated steady state
 
-    def test_absorbed_writes_do_not_back_pressure(self):
-        channel = make_channel(wpq_slots=2)
+    def test_absorbed_writes_do_not_back_pressure(self, wpq):
+        wpq(2)
+        channel = make_channel()
         # Hammer a handful of XPLines that fit the write buffer.
         now = 0.0
         delays = []
@@ -107,6 +111,7 @@ class TestBackPressure:
         assert max(delays) < 100.0
 
 
+@pytest.mark.usefixtures("wpq")
 class TestSameLineHazard:
     def test_reflush_of_inflight_line_delays_acceptance(self):
         channel = make_channel()
@@ -119,15 +124,16 @@ class TestSameLineHazard:
         channel = make_channel()
         first = channel.write(0.0, 0)
         later = channel.write(first.persist_completion + 10, 0)
-        assert later.acceptance - later.issue_ready == pytest.approx(channel.accept_latency)
+        assert later.acceptance - later.issue_ready == pytest.approx(channel.ACCEPT_LATENCY)
 
 
+@pytest.mark.usefixtures("wpq")
 class TestReadSide:
     def test_read_delegates_to_device(self):
         channel = make_channel()
         response = channel.read(0.0, 0)
         assert response.finish > 0
-        assert channel.reads_issued == 1
+        assert channel.device.counters.imc_read_bytes / 64 == 1
 
     def test_persist_stall_visibility(self):
         channel = make_channel()
@@ -138,6 +144,7 @@ class TestReadSide:
     def test_reset(self):
         channel = make_channel()
         channel.write(0.0, 0)
+        assert channel.device.counters.imc_write_bytes / 64 == 1
         channel.reset()
-        assert channel.writes_issued == 0
+        assert channel.wpq_occupancy(0.0) == 0
         assert channel.persist_stall(0.0, 0) is None

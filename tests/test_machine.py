@@ -11,7 +11,8 @@ from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import CACHELINE_SIZE, cacheline_index
 from repro.common.errors import AddressError, ConfigError
 from repro.common.units import kib
-from repro.system.machine import MachineConfig, RegionSpec
+from repro.system.imc import IMCChannel
+from repro.system.machine import SFENCE_COST, MachineConfig, RegionSpec
 from repro.system.presets import g1_machine, g2_machine, machine_for
 
 
@@ -165,12 +166,12 @@ class TestFlushFence:
         core.store(addr, 8)
         core.clwb(addr)
         fence_cost = core.sfence()
-        assert fence_cost >= machine.config.wpq_accept_latency * 0.5
+        assert fence_cost >= IMCChannel.ACCEPT_LATENCY * 0.5
 
     def test_fence_without_pending_flushes_is_cheap(self):
         machine = quiet_machine()
         core = machine.new_core()
-        assert core.sfence() <= machine.config.timing.sfence_cost
+        assert core.sfence() <= SFENCE_COST
 
     def test_fence_does_not_wait_for_persist_completion(self):
         machine = quiet_machine()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import prefetch
 from repro.cache.prefetch import (
     LINES_PER_PAGE,
     AdjacentLinePrefetcher,
@@ -11,6 +12,13 @@ from repro.cache.prefetch import (
     StreamPrefetcher,
 )
 from repro.common.rng import DeterministicRng
+
+
+@pytest.fixture
+def small_tables(monkeypatch):
+    """Four-page prefetcher tables; a trained stream always locks on."""
+    monkeypatch.setattr(prefetch, "TABLE_ENTRIES", 4)
+    monkeypatch.setattr(prefetch, "STREAMER_FIRE_PROBABILITY", 1.0)
 
 
 class TestPrefetcherConfig:
@@ -27,30 +35,31 @@ class TestPrefetcherConfig:
             PrefetcherConfig.only("magic")
 
 
+@pytest.mark.usefixtures("small_tables")
 class TestDcu:
     def test_fires_on_ascending_pair(self):
-        dcu = DcuPrefetcher(table_entries=4)
+        dcu = DcuPrefetcher()
         assert dcu.observe(10, None) == []
         assert dcu.observe(11, None) == [12]
 
     def test_no_fire_on_random_jump(self):
-        dcu = DcuPrefetcher(table_entries=4)
+        dcu = DcuPrefetcher()
         dcu.observe(10, None)
         assert dcu.observe(50, None) == []
 
     def test_no_fire_on_descending(self):
-        dcu = DcuPrefetcher(table_entries=4)
+        dcu = DcuPrefetcher()
         dcu.observe(10, None)
         assert dcu.observe(9, None) == []
 
     def test_page_boundary_respected(self):
-        dcu = DcuPrefetcher(table_entries=4)
+        dcu = DcuPrefetcher()
         last = LINES_PER_PAGE - 1
         dcu.observe(last - 1, None)
         assert dcu.observe(last, None) == []  # line+1 is in the next page
 
     def test_per_page_tracking(self):
-        dcu = DcuPrefetcher(table_entries=4)
+        dcu = DcuPrefetcher()
         dcu.observe(10, None)
         dcu.observe(LINES_PER_PAGE + 20, None)  # other page
         assert dcu.observe(11, None) == [12]  # page-0 stream unbroken
@@ -76,17 +85,10 @@ class TestAdjacent:
         assert adj.observe(last - 1, None) == [last]
 
 
+@pytest.mark.usefixtures("small_tables")
 class TestStreamer:
-    def make(self, fire_probability=1.0, distance=4, degree=4, window=6):
-        return StreamPrefetcher(
-            rng=DeterministicRng(1),
-            train_threshold=2,
-            distance=distance,
-            degree=degree,
-            window=window,
-            fire_probability=fire_probability,
-            table_entries=4,
-        )
+    def make(self):
+        return StreamPrefetcher(DeterministicRng(1))
 
     def test_untrained_stream_is_silent(self):
         streamer = self.make()
@@ -103,7 +105,8 @@ class TestStreamer:
         assert max(fired) <= 2 + 4
 
     def test_strided_stream_trains(self):
-        streamer = self.make(window=6)
+        streamer = self.make()
+        assert prefetch.STREAMER_WINDOW >= 4
         streamer.observe(0, None)
         streamer.observe(4, None)
         fired = streamer.observe(8, None)
@@ -139,8 +142,9 @@ class TestStreamer:
         streamer.observe(1, None)
         assert streamer.observe(2, 1) == []
 
-    def test_fire_probability_gates_activation(self):
-        streamer = self.make(fire_probability=0.0)
+    def test_fire_probability_gates_activation(self, monkeypatch):
+        monkeypatch.setattr(prefetch, "STREAMER_FIRE_PROBABILITY", 0.0)
+        streamer = self.make()
         streamer.observe(0, None)
         streamer.observe(1, None)
         assert streamer.observe(2, None) == []

@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.buffers import write_buffer
 from repro.cache.prefetch import PrefetcherConfig
 from repro.common.units import kib
 from repro.core.microbench.rap import run_rap_iterations
@@ -91,13 +92,11 @@ class TestBufferLatencySensitivity:
 
 
 class TestWritebackPeriodSensitivity:
-    def test_longer_period_coalesces_more(self):
+    def test_longer_period_coalesces_more(self, monkeypatch):
         # With a very long period, a short full-write run finishes
         # before any timer fires: only rewrites drain lines.
-        quick = run_write_amplification(
-            machine_with(writeback_period=500.0), kib(4), 4, passes=4
-        )
-        lazy = run_write_amplification(
-            machine_with(writeback_period=5_000_000.0), kib(4), 4, passes=4
-        )
+        monkeypatch.setattr(write_buffer, "WRITEBACK_PERIOD", 500.0)
+        quick = run_write_amplification(machine_with(), kib(4), 4, passes=4)
+        monkeypatch.setattr(write_buffer, "WRITEBACK_PERIOD", 5_000_000.0)
+        lazy = run_write_amplification(machine_with(), kib(4), 4, passes=4)
         assert lazy.write_amplification <= quick.write_amplification

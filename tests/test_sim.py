@@ -1,37 +1,10 @@
-"""Tests for the discrete-event core: clock, ports, inflight persists."""
+"""Tests for the discrete-event core: ports and inflight persists."""
 
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
-from repro.sim.clock import Clock
+from repro.common.errors import ConfigError
 from repro.sim.inflight import InflightPersists
 from repro.sim.ports import ServicePorts
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert Clock().now == 0.0
-
-    def test_advance(self):
-        clock = Clock()
-        clock.advance(10)
-        assert clock.now == 10.0
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(SimulationError):
-            Clock().advance(-1)
-
-    def test_advance_to_future_only(self):
-        clock = Clock(100)
-        clock.advance_to(50)
-        assert clock.now == 100
-        clock.advance_to(150)
-        assert clock.now == 150
-
-    def test_reset(self):
-        clock = Clock(5)
-        clock.reset()
-        assert clock.now == 0.0
 
 
 class TestServicePorts:
@@ -57,10 +30,12 @@ class TestServicePorts:
         assert grant.start == 500
 
     def test_earliest_start(self):
-        ports = ServicePorts(1)
-        ports.acquire(0, 100)
-        assert ports.earliest_start(0) == 100
-        assert ports.earliest_start(300) == 300
+        busy = ServicePorts(1)
+        busy.acquire(0, 100)
+        assert busy.acquire(0, 10).start == 100
+        idle = ServicePorts(1)
+        idle.acquire(0, 100)
+        assert idle.acquire(300, 10).start == 300
 
     def test_ties_go_to_lowest_index(self):
         # All idle at 0, then every port equally busy: each round of
@@ -102,16 +77,23 @@ class TestServicePorts:
             ServicePorts(1).acquire(0, -5)
 
     def test_utilization(self):
+        # One request busies one of two ports: a second one arriving
+        # during its service still starts at once.
         ports = ServicePorts(2)
-        ports.acquire(0, 100)
-        assert ports.utilization(100) == pytest.approx(0.5)
+        first = ports.acquire(0, 100)
+        second = ports.acquire(50, 100)
+        assert (first.start, first.finish) == (0, 100)
+        assert (second.start, second.finish) == (50, 150)
 
     def test_queue_statistics(self):
+        # Two requests arriving together on one port: the second queues
+        # for the first's whole service time.
         ports = ServicePorts(1)
-        ports.acquire(0, 100)
-        ports.acquire(0, 100)
-        assert ports.total_requests == 2
-        assert ports.total_queue_cycles == 100
+        first = ports.acquire(0, 100)
+        second = ports.acquire(0, 100)
+        assert first.start == 0
+        assert second.start == 100  # queued 100 cycles
+        assert second.finish == 200
 
     def test_reset(self):
         ports = ServicePorts(1)
@@ -153,19 +135,6 @@ class TestInflightPersists:
         inflight.add(5, 300)
         inflight.add(5, 100)
         assert inflight.completion_for(5, 50) == 300
-
-    def test_drain_time(self):
-        inflight = InflightPersists()
-        inflight.add(1, 100)
-        inflight.add(2, 250)
-        assert inflight.drain_time(0) == 250
-        assert inflight.drain_time(400) == 400
-
-    def test_pending_count(self):
-        inflight = InflightPersists()
-        inflight.add(1, 100)
-        inflight.add(2, 200)
-        assert inflight.pending_count(150) == 1
 
     def test_clear(self):
         inflight = InflightPersists()

@@ -4,32 +4,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.buffers import write_buffer
 from repro.buffers.write_buffer import WriteBuffer
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 
 
-def make(capacity_xplines=4, periodic=True, period=5000.0, seed=1):
+def make(capacity_xplines=4, periodic=True, seed=1):
     return WriteBuffer(
         capacity_xplines * 256,
         rng=DeterministicRng(seed),
         periodic_writeback=periodic,
-        writeback_period=period,
     )
+
+
+@pytest.fixture
+def period(monkeypatch):
+    """Set the periodic write-back interval for one test: ``period(cycles)``."""
+    return lambda cycles: monkeypatch.setattr(write_buffer, "WRITEBACK_PERIOD", cycles)
 
 
 class TestBasicWrites:
     def test_first_write_is_miss(self):
         buffer = make()
-        outcome = buffer.write(0.0, 10, 0)
-        assert not outcome.hit
+        assert not buffer.contains(10)
+        buffer.write(0.0, 10, 0)
         assert buffer.contains(10)
 
     def test_second_write_same_xpline_is_hit(self):
         buffer = make()
         buffer.write(0.0, 10, 0)
-        outcome = buffer.write(1.0, 10, 1)
-        assert outcome.hit
+        assert buffer.contains(10)
+        assert buffer.write(1.0, 10, 1) == ()
+        assert buffer.entry(10).dirty_mask == 0b0011
 
     def test_dirty_and_present_masks(self):
         buffer = make()
@@ -41,16 +48,12 @@ class TestBasicWrites:
     def test_servable_only_for_present_slots(self):
         buffer = make()
         buffer.write(0.0, 10, 1)
-        assert buffer.servable(10, 1)
-        assert not buffer.servable(10, 0)
+        assert buffer.entry(10).present_mask & (1 << 1)
+        assert not buffer.entry(10).present_mask & (1 << 0)
 
     def test_rejects_tiny_capacity(self):
         with pytest.raises(ConfigError):
             WriteBuffer(64, rng=DeterministicRng(1))
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ConfigError):
-            WriteBuffer(1024, rng=DeterministicRng(1), writeback_period=0)
 
 
 class TestEviction:
@@ -58,8 +61,8 @@ class TestEviction:
         buffer = make(capacity_xplines=2)
         buffer.write(0.0, 1, 0)
         buffer.write(0.0, 2, 0)
-        outcome = buffer.write(0.0, 3, 0)
-        evictions = [w for w in outcome.writebacks if w.reason == "evict"]
+        writebacks = buffer.write(0.0, 3, 0)
+        evictions = [w for w in writebacks if w.reason == "evict"]
         assert len(evictions) == 1
         assert len(buffer) == 2
 
@@ -68,22 +71,22 @@ class TestEviction:
             buffer = make(capacity_xplines=2, seed=seed)
             buffer.write(0.0, 1, 0)
             buffer.write(0.0, 2, 0)
-            outcome = buffer.write(0.0, 3, 0)
-            assert outcome.writebacks[-1].xpline in (1, 2)
+            writebacks = buffer.write(0.0, 3, 0)
+            assert writebacks[-1].xpline in (1, 2)
             assert buffer.contains(3)
 
     def test_partial_eviction_needs_underfill(self):
         buffer = make(capacity_xplines=1, periodic=False)
         buffer.write(0.0, 1, 0)
-        outcome = buffer.write(0.0, 2, 0)
-        assert outcome.writebacks[0].needs_underfill_read
+        writebacks = buffer.write(0.0, 2, 0)
+        assert writebacks[0].needs_underfill_read
 
     def test_fully_written_eviction_skips_underfill(self):
         buffer = make(capacity_xplines=1, periodic=False)
         for slot in range(4):
             buffer.write(0.0, 1, slot)
-        outcome = buffer.write(0.0, 2, 0)
-        assert not outcome.writebacks[0].needs_underfill_read
+        writebacks = buffer.write(0.0, 2, 0)
+        assert not writebacks[0].needs_underfill_read
 
     def test_random_eviction_varies_with_seed(self):
         victims = set()
@@ -91,14 +94,15 @@ class TestEviction:
             buffer = make(capacity_xplines=4, seed=seed)
             for xpline in range(4):
                 buffer.write(0.0, xpline, 0)
-            outcome = buffer.write(0.0, 99, 0)
-            victims.add(outcome.writebacks[-1].xpline)
+            writebacks = buffer.write(0.0, 99, 0)
+            victims.add(writebacks[-1].xpline)
         assert len(victims) > 1  # not a fixed (FIFO/LRU) victim
 
 
 class TestPeriodicWriteback:
-    def test_fully_dirty_line_written_back_after_period(self):
-        buffer = make(period=1000.0)
+    def test_fully_dirty_line_written_back_after_period(self, period):
+        period(1000.0)
+        buffer = make()
         for slot in range(4):
             buffer.write(0.0, 1, slot)
         assert buffer.poll(500.0) == ()
@@ -108,28 +112,31 @@ class TestPeriodicWriteback:
         assert not due[0].needs_underfill_read
         assert not buffer.contains(1)
 
-    def test_partial_line_never_periodically_written(self):
-        buffer = make(period=1000.0)
+    def test_partial_line_never_periodically_written(self, period):
+        period(1000.0)
+        buffer = make()
         buffer.write(0.0, 1, 0)
         assert buffer.poll(10_000.0) == ()
         assert buffer.contains(1)
 
-    def test_disabled_periodic_writeback(self):
-        buffer = make(periodic=False, period=1000.0)
+    def test_disabled_periodic_writeback(self, period):
+        period(1000.0)
+        buffer = make(periodic=False)
         for slot in range(4):
             buffer.write(0.0, 1, slot)
         assert buffer.poll(10_000.0) == ()
         assert buffer.contains(1)
 
-    def test_rewrite_of_fully_dirty_line_flushes_old_version(self):
+    def test_rewrite_of_fully_dirty_line_flushes_old_version(self, period):
         # G1 semantics: writing a fully dirty XPLine again drains the
         # completed version first — WA converges to 1 for 100% writes.
-        buffer = make(period=100_000.0)
+        period(100_000.0)
+        buffer = make()
         for slot in range(4):
             buffer.write(0.0, 1, slot)
-        outcome = buffer.write(1.0, 1, 0)
-        assert outcome.hit
-        rewrites = [w for w in outcome.writebacks if w.reason == "rewrite"]
+        assert buffer.contains(1)
+        writebacks = buffer.write(1.0, 1, 0)
+        rewrites = [w for w in writebacks if w.reason == "rewrite"]
         assert len(rewrites) == 1
         assert buffer.contains(1)  # fresh version resident
         assert buffer.entry(1).dirty_mask == 0b0001
@@ -138,14 +145,16 @@ class TestPeriodicWriteback:
         buffer = make(periodic=False)
         for slot in range(4):
             buffer.write(0.0, 1, slot)
-        outcome = buffer.write(1.0, 1, 0)
-        assert outcome.hit
-        assert outcome.writebacks == ()
+        assert buffer.contains(1)
+        writebacks = buffer.write(1.0, 1, 0)
+        assert writebacks == ()
+        assert buffer.entry(1).dirty_mask == 0b1111
 
     # The due-time bound lets polls skip the scan; it must not change
     # which lines leave, in what order, or when.
-    def test_due_lines_leave_in_insertion_order(self):
-        buffer = make(period=1000.0)
+    def test_due_lines_leave_in_insertion_order(self, period):
+        period(1000.0)
+        buffer = make()
         buffer.write(0.0, 1, 0)
         buffer.write(0.0, 2, 0)
         for slot in (1, 2, 3):
@@ -155,23 +164,23 @@ class TestPeriodicWriteback:
         due = buffer.poll(2000.0)
         assert [writeback.xpline for writeback in due] == [1, 2]
 
-    def test_stale_bound_still_drains_at_due_time(self):
-        buffer = WriteBuffer(
-            2 * 256, rng=DeterministicRng(1), writeback_period=1000.0, eviction="fifo"
-        )
+    def test_stale_bound_still_drains_at_due_time(self, period):
+        period(1000.0)
+        buffer = WriteBuffer(2 * 256, rng=DeterministicRng(1), eviction="fifo")
         for slot in range(4):
             buffer.write(0.0, 1, slot)  # due at 1000
         for slot in range(4):
             buffer.write(500.0, 2, slot)  # due at 1500
-        outcome = buffer.write(600.0, 3, 0)  # evicts line 1: the bound is stale
-        assert [writeback.xpline for writeback in outcome.writebacks] == [1]
+        writebacks = buffer.write(600.0, 3, 0)  # evicts line 1: the bound is stale
+        assert [writeback.xpline for writeback in writebacks] == [1]
         assert buffer.poll(1200.0) == ()
         assert buffer.poll(1499.0) == ()
         due = buffer.poll(1500.0)
         assert [(writeback.xpline, writeback.reason) for writeback in due] == [(2, "periodic")]
 
-    def test_clear_resets_bound(self):
-        buffer = make(period=1000.0)
+    def test_clear_resets_bound(self, period):
+        period(1000.0)
+        buffer = make()
         for slot in range(4):
             buffer.write(0.0, 1, slot)
         assert buffer._due_bound == 1000.0
@@ -182,8 +191,7 @@ class TestPeriodicWriteback:
 class TestTransition:
     def test_adopted_line_fully_present(self):
         buffer = make()
-        outcome = buffer.adopt_from_read_buffer(0.0, 7, 2)
-        assert outcome.transitioned
+        assert buffer.adopt_from_read_buffer(0.0, 7, 2) == ()
         entry = buffer.entry(7)
         assert entry.present_mask == 0b1111
         assert entry.dirty_mask == 0b0100
@@ -191,14 +199,14 @@ class TestTransition:
     def test_adopted_line_eviction_skips_underfill(self):
         buffer = make(capacity_xplines=1, periodic=False)
         buffer.adopt_from_read_buffer(0.0, 7, 0)
-        outcome = buffer.write(0.0, 8, 0)
-        assert not outcome.writebacks[0].needs_underfill_read
+        writebacks = buffer.write(0.0, 8, 0)
+        assert not writebacks[0].needs_underfill_read
 
     def test_adoption_can_trigger_eviction(self):
         buffer = make(capacity_xplines=1, periodic=False)
         buffer.write(0.0, 1, 0)
-        outcome = buffer.adopt_from_read_buffer(0.0, 2, 0)
-        assert len(outcome.writebacks) == 1
+        writebacks = buffer.adopt_from_read_buffer(0.0, 2, 0)
+        assert len(writebacks) == 1
 
 
 class TestDrainAll:
