@@ -1,6 +1,6 @@
 """On-DIMM buffering: the read buffer and the write-combining buffer."""
 
-from repro.buffers.read_buffer import ReadBuffer, ReadBufferEntry
+from repro.buffers.read_buffer import ReadBuffer
 from repro.buffers.write_buffer import (
     WriteBuffer,
     WriteBufferEntry,
@@ -9,7 +9,6 @@ from repro.buffers.write_buffer import (
 
 __all__ = [
     "ReadBuffer",
-    "ReadBufferEntry",
     "WriteBuffer",
     "WriteBufferEntry",
     "Writeback",

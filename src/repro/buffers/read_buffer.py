@@ -22,30 +22,9 @@ side of the read→write buffer transition (Section 3.3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.common.constants import CACHELINES_PER_XPLINE, FULL_XPLINE_MASK, XPLINE_SIZE
 from repro.common.errors import ConfigError
-
-
-@dataclass
-class ReadBufferEntry:
-    """One buffered XPLine: which cacheline slots were already delivered."""
-
-    consumed_mask: int = 0
-
-    def is_consumed(self, slot: int) -> bool:
-        """True if ``slot`` was already delivered to the CPU."""
-        return bool(self.consumed_mask & (1 << slot))
-
-    def consume(self, slot: int) -> None:
-        """Mark ``slot`` delivered (exclusivity)."""
-        self.consumed_mask |= 1 << slot
-
-    @property
-    def fully_consumed(self) -> bool:
-        """True when all four slots have been delivered."""
-        return self.consumed_mask == FULL_XPLINE_MASK
 
 
 class ReadBuffer:
@@ -56,20 +35,12 @@ class ReadBuffer:
             raise ConfigError(f"{name}: capacity {capacity_bytes} below one XPLine")
         self.name = name
         self.capacity_lines = capacity_bytes // XPLINE_SIZE
-        # Insertion-ordered: first key is the FIFO victim.
-        self._entries: OrderedDict[int, ReadBufferEntry] = OrderedDict()
+        #: XPLine -> bitmask of its cacheline slots already delivered to
+        #: the CPU.  Insertion-ordered: the first key is the FIFO victim.
+        self.entries: OrderedDict[int, int] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def contains(self, xpline: int) -> bool:
-        """True if the XPLine is buffered (regardless of consumed slots)."""
-        return xpline in self._entries
-
-    def servable(self, xpline: int, slot: int) -> bool:
-        """True if a read of ``slot`` in ``xpline`` would hit the buffer."""
-        entry = self._entries.get(xpline)
-        return entry is not None and not entry.is_consumed(slot)
+        return len(self.entries)
 
     def deliver(self, xpline: int, slot: int) -> bool:
         """Serve ``slot`` of ``xpline`` to the iMC if possible.
@@ -79,12 +50,15 @@ class ReadBuffer:
         FIFO position is *not* refreshed on hits — that is precisely
         what makes eviction FIFO rather than LRU.
         """
-        entry = self._entries.get(xpline)
-        if entry is None or entry.is_consumed(slot):
+        consumed = self.entries.get(xpline)
+        bit = 1 << slot
+        if consumed is None or consumed & bit:
             return False
-        entry.consume(slot)
-        if entry.fully_consumed:
-            del self._entries[xpline]
+        consumed |= bit
+        if consumed == FULL_XPLINE_MASK:
+            del self.entries[xpline]
+        else:
+            self.entries[xpline] = consumed
         return True
 
     def install(self, xpline: int, consumed_slots: tuple[int, ...] = ()) -> int | None:
@@ -92,24 +66,21 @@ class ReadBuffer:
 
         ``consumed_slots`` marks slots delivered as part of the fetch
         itself (the demand cacheline travels straight to the iMC, so
-        its slot is born consumed).
+        its slot is born consumed).  Refetching a buffered line resets
+        its slots (fresh media read, all available again) but keeps its
+        FIFO position.
         """
-        if xpline in self._entries:
-            # Refetch of a partially consumed line replaces the entry
-            # (fresh media read, all slots available again) but keeps
-            # its FIFO position.
-            entry = self._entries[xpline]
-            entry.consumed_mask = 0
-        else:
-            self._entries[xpline] = entry = ReadBufferEntry()
+        consumed = 0
         for slot in consumed_slots:
-            entry.consume(slot)
-        if entry.fully_consumed:
-            del self._entries[xpline]
-        evicted: int | None = None
-        if len(self._entries) > self.capacity_lines:
-            evicted, _ = self._entries.popitem(last=False)
-        return evicted
+            consumed |= 1 << slot
+        entries = self.entries
+        if consumed == FULL_XPLINE_MASK:
+            entries.pop(xpline, None)
+        else:
+            entries[xpline] = consumed
+        if len(entries) > self.capacity_lines:
+            return entries.popitem(last=False)[0]
+        return None
 
     def take(self, xpline: int) -> bool:
         """Remove ``xpline`` (the read→write buffer transition, §3.3).
@@ -118,19 +89,19 @@ class ReadBuffer:
         the owner; the media read that populated it is thereby reused
         instead of a fresh read-modify-write.
         """
-        return self._entries.pop(xpline, None) is not None
+        return self.entries.pop(xpline, None) is not None
 
     def resident_xplines(self) -> list[int]:
         """XPLine indexes currently buffered, in FIFO order."""
-        return list(self._entries)
+        return list(self.entries)
 
     def unconsumed_slot_count(self, xpline: int) -> int:
         """How many slots of ``xpline`` are still servable (0 if absent)."""
-        entry = self._entries.get(xpline)
-        if entry is None:
+        consumed = self.entries.get(xpline)
+        if consumed is None:
             return 0
-        return CACHELINES_PER_XPLINE - bin(entry.consumed_mask).count("1")
+        return CACHELINES_PER_XPLINE - bin(consumed).count("1")
 
     def clear(self) -> None:
         """Drop everything (power cycle)."""
-        self._entries.clear()
+        self.entries.clear()

@@ -35,37 +35,20 @@ from repro.sim.clock import Cycles
 WRITEBACK_PERIOD = 5000.0
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteBufferEntry:
     """One buffered XPLine.
 
     ``dirty_mask``: cacheline slots holding not-yet-persisted data.
     ``present_mask``: slots whose data is available in the buffer
     (dirty slots, plus clean slots carried over by a read-buffer
-    transition).  ``full_since`` is set when the line became fully
-    dirty — the periodic write-back timer.
+    transition or a read-side fill).  ``full_since`` is set when the
+    line became fully dirty — the periodic write-back timer.
     """
 
     dirty_mask: int = 0
     present_mask: int = 0
     full_since: Cycles | None = None
-
-    @property
-    def fully_dirty(self) -> bool:
-        """All four cacheline slots hold new data."""
-        return self.dirty_mask == FULL_XPLINE_MASK
-
-    @property
-    def fully_present(self) -> bool:
-        """Every slot's data is available (no underfill needed)."""
-        return self.present_mask == FULL_XPLINE_MASK
-
-    def mark_dirty(self, slot: int, now: Cycles) -> None:
-        """Record a write to ``slot``; starts the full-line timer."""
-        self.dirty_mask |= 1 << slot
-        self.present_mask |= 1 << slot
-        if self.fully_dirty and self.full_since is None:
-            self.full_since = now
 
 
 @dataclass(slots=True)
@@ -99,23 +82,20 @@ class WriteBuffer:
         self.capacity_lines = capacity_bytes // XPLINE_SIZE
         self.periodic_writeback = periodic_writeback
         self._rng = rng
-        self._entries: dict[int, WriteBufferEntry] = {}
+        self.entries: dict[int, WriteBufferEntry] = {}
         #: Lower bound on the earliest periodic write-back due time
         #: (``full_since + WRITEBACK_PERIOD``) of any entry: lowered when
-        #: a line becomes fully dirty, recomputed by every scan.
+        #: a line becomes fully dirty, recomputed by every scan; stays
+        #: infinite without periodic write-back.
         self._due_bound: Cycles = math.inf
         # Parallel key list enabling O(1) uniform-random victim choice.
         self._keys: list[int] = []
         self._key_pos: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     # -- key bookkeeping -------------------------------------------------
-
-    def _add_key(self, xpline: int) -> None:
-        self._key_pos[xpline] = len(self._keys)
-        self._keys.append(xpline)
 
     def _remove_key(self, xpline: int) -> None:
         pos = self._key_pos.pop(xpline)
@@ -125,14 +105,6 @@ class WriteBuffer:
             self._key_pos[last] = pos
 
     # -- queries ----------------------------------------------------------
-
-    def contains(self, xpline: int) -> bool:
-        """True if the XPLine has a buffered entry."""
-        return xpline in self._entries
-
-    def entry(self, xpline: int) -> WriteBufferEntry | None:
-        """The entry for ``xpline`` (None if absent)."""
-        return self._entries.get(xpline)
 
     def resident_xplines(self) -> list[int]:
         """Buffered XPLine indexes (unordered)."""
@@ -147,46 +119,35 @@ class WriteBuffer:
         periodic write-backs first, then a rewrite of the old version
         or an eviction if the install overflowed capacity.
         """
-        writebacks = self._collect_periodic(now)
-        entry = self._entries.get(xpline)
-        if entry is not None:
-            if self.periodic_writeback and entry.fully_dirty:
-                # G1: a store to an already fully-dirty XPLine starts a
-                # new version; the completed old version drains to the
-                # media first.  This is what makes WA converge to 1 for
-                # 100% writes even at tiny working sets (Figure 3), and
-                # it back-pressures like an eviction — bounding
-                # sustained full-line write bandwidth at the media rate.
-                writebacks.append(self._pop(xpline, reason="rewrite"))
-                entry = WriteBufferEntry()
-                entry.mark_dirty(slot, now)
-                self._entries[xpline] = entry
-                self._add_key(xpline)
-                return tuple(writebacks)
-            entry.mark_dirty(slot, now)
+        writebacks = self._collect_periodic(now) if now >= self._due_bound else []
+        bit = 1 << slot
+        entry = self.entries.get(xpline)
+        if entry is None:
+            self.entries[xpline] = WriteBufferEntry(bit, bit)
+            self._key_pos[xpline] = len(self._keys)
+            self._keys.append(xpline)
+            if len(self.entries) > self.capacity_lines:
+                writebacks.append(self._evict_random(exclude=xpline))
+        elif self.periodic_writeback and entry.dirty_mask == FULL_XPLINE_MASK:
+            # G1: a store to an already fully-dirty XPLine starts a
+            # new version; the completed old version drains to the
+            # media first.  This is what makes WA converge to 1 for
+            # 100% writes even at tiny working sets (Figure 3), and
+            # it back-pressures like an eviction — bounding
+            # sustained full-line write bandwidth at the media rate.
+            writebacks.append(self._pop(xpline, reason="rewrite"))
+            self.entries[xpline] = WriteBufferEntry(bit, bit)
+            self._key_pos[xpline] = len(self._keys)
+            self._keys.append(xpline)
+        else:
+            entry.present_mask |= bit
+            entry.dirty_mask |= bit
             # Only a merge can complete a line: a new entry holds one slot.
-            if entry.full_since is not None:
-                self._due_bound = min(self._due_bound, entry.full_since + WRITEBACK_PERIOD)
-            return tuple(writebacks)
-
-        entry = WriteBufferEntry()
-        entry.mark_dirty(slot, now)
-        self._entries[xpline] = entry
-        self._add_key(xpline)
-        if len(self._entries) > self.capacity_lines:
-            writebacks.append(self._evict_random(exclude=xpline))
+            if entry.dirty_mask == FULL_XPLINE_MASK and entry.full_since is None:
+                entry.full_since = now
+                if self.periodic_writeback:
+                    self._due_bound = min(self._due_bound, now + WRITEBACK_PERIOD)
         return tuple(writebacks)
-
-    def fill_from_media(self, xpline: int) -> None:
-        """Complete a resident entry with media data (read-side RMW fill).
-
-        A read to a slot the buffer does not hold triggers one media
-        read; afterwards the whole XPLine is present and *all* slots
-        are servable — this is how reads "directly load data from the
-        write buffer" (§3.3), and a later eviction needs no underfill.
-        """
-        entry = self._entries[xpline]
-        entry.present_mask = FULL_XPLINE_MASK
 
     def adopt_from_read_buffer(self, now: Cycles, xpline: int, slot: int) -> tuple[Writeback, ...]:
         """Install an XPLine handed over by the read buffer (§3.3).
@@ -196,12 +157,11 @@ class WriteBuffer:
         needed — this is how the transition avoids the expensive
         read-modify-write.
         """
-        writebacks = self._collect_periodic(now)
-        entry = WriteBufferEntry(present_mask=FULL_XPLINE_MASK)
-        entry.mark_dirty(slot, now)
-        self._entries[xpline] = entry
-        self._add_key(xpline)
-        if len(self._entries) > self.capacity_lines:
+        writebacks = self._collect_periodic(now) if now >= self._due_bound else []
+        self.entries[xpline] = WriteBufferEntry(1 << slot, FULL_XPLINE_MASK)
+        self._key_pos[xpline] = len(self._keys)
+        self._keys.append(xpline)
+        if len(self.entries) > self.capacity_lines:
             writebacks.append(self._evict_random(exclude=xpline))
         return tuple(writebacks)
 
@@ -211,6 +171,8 @@ class WriteBuffer:
         Called by the DIMM front-end on reads and idle checks so that
         fully-dirty lines drain even without further writes.
         """
+        if now < self._due_bound:
+            return ()
         return tuple(self._collect_periodic(now))
 
     def drain_all(self) -> tuple[Writeback, ...]:
@@ -229,7 +191,7 @@ class WriteBuffer:
         were destroyed.  Raises ``KeyError`` if the line is not
         resident.
         """
-        entry = self._entries[xpline]
+        entry = self.entries[xpline]
         self._pop(xpline, reason="evict")
         return entry
 
@@ -239,14 +201,12 @@ class WriteBuffer:
         """Pop every line due by ``now``, in insertion order.
 
         Insertion order, not due order: write-back order feeds media
-        timing.  The scan is skipped while ``now`` is below the bound.
+        timing.  Callers skip the scan while ``now`` is below the bound.
         """
-        if not self.periodic_writeback or now < self._due_bound:
-            return []
         period = WRITEBACK_PERIOD
         due = []
         bound = math.inf
-        for xpline, entry in self._entries.items():
+        for xpline, entry in self.entries.items():
             if entry.full_since is not None:
                 due_at = entry.full_since + period
                 if due_at <= now:
@@ -261,7 +221,7 @@ class WriteBuffer:
             # Ablation mode: oldest entry first (dict preserves
             # insertion order).  Produces a hit-ratio cliff instead of
             # Figure 4's graceful decay.
-            for victim in self._entries:
+            for victim in self.entries:
                 if victim != exclude or len(self._keys) == 1:
                     return self._pop(victim, reason="evict")
         while True:
@@ -270,17 +230,13 @@ class WriteBuffer:
                 return self._pop(victim, reason="evict")
 
     def _pop(self, xpline: int, reason: str) -> Writeback:
-        entry = self._entries.pop(xpline)
+        entry = self.entries.pop(xpline)
         self._remove_key(xpline)
-        return Writeback(
-            xpline=xpline,
-            needs_underfill_read=not entry.fully_present,
-            reason=reason,
-        )
+        return Writeback(xpline, entry.present_mask != FULL_XPLINE_MASK, reason)
 
     def clear(self) -> None:
         """Drop everything without write-backs (test helper)."""
-        self._entries.clear()
+        self.entries.clear()
         self._keys.clear()
         self._key_pos.clear()
         self._due_bound = math.inf

@@ -8,7 +8,7 @@ from repro.cache.prefetch import (
     PrefetcherConfig,
     StreamPrefetcher,
 )
-from repro.cache.set_assoc import CacheLevelConfig, Eviction, SetAssociativeCache
+from repro.cache.set_assoc import CacheLevelConfig, SetAssociativeCache
 
 __all__ = [
     "AccessResult",
@@ -20,6 +20,5 @@ __all__ = [
     "PrefetcherConfig",
     "StreamPrefetcher",
     "CacheLevelConfig",
-    "Eviction",
     "SetAssociativeCache",
 ]

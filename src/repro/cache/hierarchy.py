@@ -1,10 +1,11 @@
 """Three-level inclusive cache hierarchy.
 
-Coordinates L1/L2/L3 :class:`SetAssociativeCache` levels with inclusive
-fills, LRU promotion on lower-level hits, dirty write-back cascades and
-back-invalidation on LLC evictions.  The hierarchy never talks to
-memory itself: demand misses and dirty LLC victims are reported to the
-caller (the machine), which routes them to the right device.
+Implements, over the sets of three :class:`SetAssociativeCache` levels,
+inclusive fills, LRU promotion on lower-level hits, dirty write-back
+cascades and back-invalidation on LLC evictions.  The hierarchy never
+talks to memory itself: demand misses and dirty LLC victims are
+reported to the caller (the machine), which routes them to the right
+device.
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ class AccessResult:
 
 
 class CacheHierarchy:
-    """Inclusive L1/L2/L3 with write-back and write-allocate."""
+    """Inclusive L1/L2/L3 with write-back and write-allocate.
+
+    The one home of the replacement and dirty policy: every demand
+    access, fill, flush and eviction cascade works on the levels'
+    ``sets`` here, with no per-level call on the no-eviction path.
+    """
 
     def __init__(self, config: CacheHierarchyConfig) -> None:
         config.validate()
@@ -91,7 +97,10 @@ class CacheHierarchy:
 
     def contains(self, line: int) -> bool:
         """True if any level holds ``line``.  No side effects."""
-        return self.l1.probe(line) or self.l2.probe(line) or self.l3.probe(line)
+        for level in self._levels:
+            if line in level.sets.get(line % level.n_sets, ()):
+                return True
+        return False
 
     # -- demand path -----------------------------------------------------------
 
@@ -102,38 +111,70 @@ class CacheHierarchy:
         :meth:`fill`.  Stores mark the (promoted) L1 copy dirty —
         write-allocate is the caller's job via the fill path.
         """
-        if self.l1.lookup(line):
+        l1, l2, l3 = self._levels
+        held1 = l1.sets[line % l1.n_sets]
+        if line in held1:
+            held1.move_to_end(line)
             if is_write:
-                self.l1.set_dirty(line)
+                held1[line] = True
             return self._l1_hit
         writebacks: list[int] = []
-        if self.l2.lookup(line):
-            self._fill_level(1, line, dirty=is_write, writebacks=writebacks)
-            if writebacks:
-                return AccessResult(2, self._l2_hit.latency, tuple(writebacks))
-            return self._l2_hit
-        if self.l3.lookup(line):
-            self._fill_level(2, line, dirty=False, writebacks=writebacks)
-            self._fill_level(1, line, dirty=is_write, writebacks=writebacks)
-            if writebacks:
-                return AccessResult(3, self._l3_hit.latency, tuple(writebacks))
-            return self._l3_hit
-        return self._miss
+        held2 = l2.sets[line % l2.n_sets]
+        if line in held2:
+            held2.move_to_end(line)
+            hit = self._l2_hit
+        else:
+            held3 = l3.sets[line % l3.n_sets]
+            if line not in held3:
+                return self._miss
+            held3.move_to_end(line)
+            hit = self._l3_hit
+            held2[line] = False
+            if len(held2) > l2.ways:
+                self._spill(2, held2, writebacks)
+        held1[line] = is_write
+        if len(held1) > l1.ways:
+            self._spill(1, held1, writebacks)
+        if writebacks:
+            return AccessResult(hit.hit_level, hit.latency, tuple(writebacks))
+        return hit
 
     def fill(self, line: int, dirty: bool = False, into_l1: bool = True) -> tuple[int, ...]:
         """Install a line fetched from memory (inclusive: L3 → L2 [→ L1]).
 
         Returns dirty lines evicted from the LLC (the caller writes
         them back to memory).  Prefetch fills typically use
-        ``into_l1=False`` (L2 prefetchers fill L2/L3 only).
+        ``into_l1=False`` (L2 prefetchers fill L2/L3 only).  Filling a
+        resident line refreshes its LRU position and ORs in ``dirty``.
         """
         writebacks: list[int] = []
-        self._fill_level(3, line, dirty=False, writebacks=writebacks)
-        self._fill_level(2, line, dirty=False, writebacks=writebacks)
+        l1, l2, l3 = self._levels
+        held = l3.sets[line % l3.n_sets]
+        if line in held:
+            held.move_to_end(line)
+        else:
+            held[line] = False
+            if len(held) > l3.ways:
+                self._spill(3, held, writebacks)
+        held = l2.sets[line % l2.n_sets]
+        if line in held:
+            held.move_to_end(line)
+        else:
+            held[line] = False
+            if len(held) > l2.ways:
+                self._spill(2, held, writebacks)
         if into_l1:
-            self._fill_level(1, line, dirty=dirty, writebacks=writebacks)
-        elif dirty:
-            self.l2.set_dirty(line)
+            held = l1.sets[line % l1.n_sets]
+            if line in held:
+                if dirty:
+                    held[line] = True
+                held.move_to_end(line)
+            else:
+                held[line] = dirty
+                if len(held) > l1.ways:
+                    self._spill(1, held, writebacks)
+        elif dirty and line in held:
+            held[line] = True
         return tuple(writebacks)
 
     # -- flush / invalidate path --------------------------------------------------
@@ -143,19 +184,25 @@ class CacheHierarchy:
 
         Models clflush/clflushopt and the G1 clwb behaviour.
         """
-        _, l1_dirty = self.l1.invalidate(line)
-        _, l2_dirty = self.l2.invalidate(line)
-        _, l3_dirty = self.l3.invalidate(line)
-        return l1_dirty or l2_dirty or l3_dirty
+        dirty = False
+        for level in self._levels:
+            held = level.sets.get(line % level.n_sets)
+            if held and held.pop(line, False):
+                dirty = True
+        return dirty
 
     def clean(self, line: int) -> bool:
         """Clear dirtiness of ``line`` everywhere, keeping it resident.
 
         Models the G2 clwb behaviour; True if any copy was dirty.
         """
-        l1_dirty = self.l1.clean(line)
-        l2_dirty = self.l2.clean(line)
-        return self.l3.clean(line) or l1_dirty or l2_dirty
+        dirty = False
+        for level in self._levels:
+            held = level.sets.get(line % level.n_sets)
+            if held and held.get(line):
+                held[line] = False
+                dirty = True
+        return dirty
 
     def is_dirty(self, line: int) -> bool:
         """True if any level holds a dirty copy of ``line``."""
@@ -175,21 +222,26 @@ class CacheHierarchy:
 
     # -- internals --------------------------------------------------------------
 
-    def _fill_level(self, number: int, line: int, dirty: bool, writebacks: list[int]) -> None:
-        level = self._levels[number - 1]
-        eviction = level.fill(line, dirty=dirty)
-        if eviction is None:
-            return
-        if number == 1:
-            # Write-back into L2; inclusive, so normally present there.
-            if eviction.dirty and not self.l2.set_dirty(eviction.line):
-                self._fill_level(2, eviction.line, dirty=True, writebacks=writebacks)
-        elif number == 2:
-            if eviction.dirty and not self.l3.set_dirty(eviction.line):
-                self._fill_level(3, eviction.line, dirty=True, writebacks=writebacks)
-        else:
-            # LLC eviction: back-invalidate inner levels (inclusivity).
-            _, l1_dirty = self.l1.invalidate(eviction.line)
-            _, l2_dirty = self.l2.invalidate(eviction.line)
-            if eviction.dirty or l1_dirty or l2_dirty:
-                writebacks.append(eviction.line)
+    def _spill(self, number: int, held, writebacks: list[int]) -> None:
+        """Evict the LRU line of ``held``, a set of level ``number`` one over capacity.
+
+        A dirty L1 or L2 victim is written back into the next level
+        (marking its copy dirty in place, since the hierarchy is
+        inclusive, or installing one, which may cascade).  An LLC
+        victim is back-invalidated from L1 and L2 and appended to
+        ``writebacks`` if any copy was dirty.
+        """
+        victim, dirty = held.popitem(last=False)
+        if number == 3:
+            for level in (self.l1, self.l2):
+                inner = level.sets.get(victim % level.n_sets)
+                if inner and inner.pop(victim, False):
+                    dirty = True
+            if dirty:
+                writebacks.append(victim)
+        elif dirty:
+            outer = self._levels[number]
+            held = outer.sets[victim % outer.n_sets]
+            held[victim] = True
+            if len(held) > outer.ways:
+                self._spill(number + 1, held, writebacks)

@@ -77,17 +77,6 @@ class PointerChaseBench:
             range(self.element_count)
         )
 
-    def _run(self, step, count: int, warmup: int) -> float:
-        core = self.machine.new_core()
-        cursor = 0
-        position = 0
-        for i in range(warmup):
-            cursor, position = step(core, cursor, position, i)
-        start = core.now
-        for i in range(count):
-            cursor, position = step(core, cursor, position, i)
-        return (core.now - start) / count
-
     def run(
         self,
         mode: str,
@@ -105,58 +94,62 @@ class PointerChaseBench:
         count = min(max_ops, max(self.element_count * 4, 2_000))
         warmup = min(self.element_count, warmup_cap)
         epoch = self.element_count if self.element_count < _RELAXED_EPOCH else _RELAXED_EPOCH
+        strict = persistency is PersistencyModel.STRICT
 
         addrs = self._element_addrs
         nxt = self._next
         order = self._write_order
         n = self.element_count
+        core = self.machine.new_core()
+        load, store, nt_store = core.load, core.store, core.nt_store
+        clwb, sfence = core.clwb, core.sfence
 
         if mode == "read":
 
-            def step(core, cursor, position, i):
-                core.load(addrs[cursor], 8)
+            def step(cursor, position, i):
+                load(addrs[cursor], 8)
                 return nxt[cursor], position
 
         elif mode == "write":
 
-            def step(core, cursor, position, i):
-                element = order[position]
-                core.store(addrs[element] + CACHELINE_SIZE, 8)
-                core.clwb(addrs[element] + CACHELINE_SIZE)
-                if persistency is PersistencyModel.STRICT:
-                    core.sfence()
-                elif i % epoch == epoch - 1:
-                    core.sfence()
+            def step(cursor, position, i):
+                pad = addrs[order[position]] + CACHELINE_SIZE
+                store(pad, 8)
+                clwb(pad)
+                if strict or i % epoch == epoch - 1:
+                    sfence()
                 return cursor, (position + 1) % n
 
         elif mode == "clwb":
 
-            def step(core, cursor, position, i):
-                core.load(addrs[cursor], 8)
+            def step(cursor, position, i):
+                load(addrs[cursor], 8)
                 pad = addrs[cursor] + CACHELINE_SIZE
-                core.store(pad, 8)
-                core.clwb(pad)
-                if persistency is PersistencyModel.STRICT:
-                    core.sfence()
-                elif i % epoch == epoch - 1:
-                    core.sfence()
+                store(pad, 8)
+                clwb(pad)
+                if strict or i % epoch == epoch - 1:
+                    sfence()
                 return nxt[cursor], position
 
         elif mode == "nt-store":
 
-            def step(core, cursor, position, i):
-                core.load(addrs[cursor], 8)
-                core.nt_store(addrs[cursor] + CACHELINE_SIZE, CACHELINE_SIZE)
-                if persistency is PersistencyModel.STRICT:
-                    core.sfence()
-                elif i % epoch == epoch - 1:
-                    core.sfence()
+            def step(cursor, position, i):
+                load(addrs[cursor], 8)
+                nt_store(addrs[cursor] + CACHELINE_SIZE, CACHELINE_SIZE)
+                if strict or i % epoch == epoch - 1:
+                    sfence()
                 return nxt[cursor], position
 
         else:
             raise ValueError(f"unknown pointer-chase mode {mode!r}")
 
-        cycles = self._run(step, count, warmup)
+        cursor = position = 0
+        for i in range(warmup):
+            cursor, position = step(cursor, position, i)
+        start = core.now
+        for i in range(count):
+            cursor, position = step(cursor, position, i)
+        cycles = (core.now - start) / count
         return ChaseResult(
             wss=self.wss,
             mode=mode,

@@ -29,24 +29,27 @@ def run_rap_iterations(
     core = machine.new_core()
     base = machine.region_spec(region).base
     n_lines = wss // CACHELINE_SIZE
-    iterations = 0
+    # (persisted line, line read back) of each step of one pass.
+    steps = [
+        (base + offset * CACHELINE_SIZE,
+         base + (offset + n_lines - distance) % n_lines * CACHELINE_SIZE)
+        for offset in range(n_lines)
+    ]
+    store, load, nt_store = core.store, core.load, core.nt_store
+    flush_line = core.clwb if flush is FlushKind.CLWB else core.clflushopt
+    fence_op = {FenceKind.SFENCE: core.sfence, FenceKind.MFENCE: core.mfence}[fence]
+    nt = flush is FlushKind.NT_STORE
     start = core.now
     for _ in range(passes):
-        for offset in range(n_lines):
-            addr = base + offset * CACHELINE_SIZE
-            if flush is FlushKind.NT_STORE:
-                core.nt_store(addr, CACHELINE_SIZE)
+        for addr, read_addr in steps:
+            if nt:
+                nt_store(addr, CACHELINE_SIZE)
             else:
-                core.store(addr, 8)
-                if flush is FlushKind.CLWB:
-                    core.clwb(addr)
-                else:
-                    core.clflushopt(addr)
-            core.fence(fence.value)
-            read_offset = (offset + n_lines - distance) % n_lines
-            core.load(base + read_offset * CACHELINE_SIZE, 8)
-            iterations += 1
-    return (core.now - start) / iterations
+                store(addr, 8)
+                flush_line(addr)
+            fence_op()
+            load(read_addr, 8)
+    return (core.now - start) / (passes * n_lines)
 
 
 #: The eight panels of Figure 7: (region, [(flush, fence), ...]).

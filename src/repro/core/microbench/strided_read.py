@@ -40,13 +40,13 @@ def run_strided_read(
     (its effect washes out, matching the paper's long-running loops).
     """
     core = machine.new_core()
-    base = machine.region_spec(region).base
-    counters = machine.counters(region)
-    snapshot = counters.snapshot()
+    addrs = strided_read_addresses(machine.region_spec(region).base, wss, cachelines_per_xpline)
+    load, clflushopt = core.load, core.clflushopt
+    snapshot = machine.counters(region).snapshot()
     for _ in range(cycles_over_region):
-        for addr in strided_read_addresses(base, wss, cachelines_per_xpline):
-            core.load(addr, 8)
-            core.clflushopt(addr)
+        for addr in addrs:
+            load(addr, 8)
+            clflushopt(addr)
     delta = machine.counters(region).delta(snapshot)
     return StridedReadResult(
         wss=wss,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.common.constants import XPLINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.system.machine import Machine
-from repro.workloads.patterns import partial_write_addresses
+from repro.workloads.patterns import partial_write_addresses, random_block_sequence
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,21 @@ def run_write_amplification(
 ) -> WriteAmplificationResult:
     """Figure 3 kernel on an existing machine.
 
-    ``random_across_xplines`` shuffles the XPLine visit order; the
-    paper observed (and our tests assert) that WA is independent of
-    this choice.
+    ``random_across_xplines`` shuffles the XPLine visit order, afresh
+    for every pass; the paper observed (and our tests assert) that WA
+    is independent of this choice.
     """
     core = machine.new_core()
     base = machine.region_spec(region).base
     rng = DeterministicRng(machine.config.seed).fork(7) if random_across_xplines else None
+    addrs = partial_write_addresses(base, wss, written_cachelines)
+    nt_store = core.nt_store
     snapshot = machine.counters(region).snapshot()
     for _ in range(passes):
-        for addr in partial_write_addresses(base, wss, written_cachelines, rng):
-            core.nt_store(addr, 64)
+        if rng is not None:
+            addrs = partial_write_addresses(base, wss, written_cachelines, rng)
+        for addr in addrs:
+            nt_store(addr, 64)
     delta = machine.counters(region).delta(snapshot)
     return WriteAmplificationResult(
         wss=wss,
@@ -82,13 +86,13 @@ def run_write_hit_ratio(
 ) -> WriteHitResult:
     """Figure 4 kernel: random partial (single-line) writes."""
     core = machine.new_core()
-    base = machine.region_spec(region).base
-    n_xplines = wss // XPLINE_SIZE
     rng = DeterministicRng(machine.config.seed).fork(11)
+    visits = wss // XPLINE_SIZE * writes_per_xpline_avg
+    addrs = random_block_sequence(machine.region_spec(region).base, wss, visits, rng)
+    nt_store = core.nt_store
     snapshot = machine.counters(region).snapshot()
-    for _ in range(n_xplines * writes_per_xpline_avg):
-        addr = base + rng.choice_index(n_xplines) * XPLINE_SIZE
-        core.nt_store(addr, 64)
+    for addr in addrs:
+        nt_store(addr, 64)
     delta = machine.counters(region).delta(snapshot)
     inferred = 1.0 - delta.media_write_bytes / (4.0 * delta.imc_write_bytes)
     return WriteHitResult(

@@ -19,11 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.constants import (
-    CACHELINE_SIZE,
-    cacheline_slot_in_xpline,
-    xpline_index,
-)
+from repro.common.constants import CACHELINE_SIZE, FULL_XPLINE_MASK, XPLINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.buffers.read_buffer import ReadBuffer
 from repro.buffers.write_buffer import WriteBuffer, Writeback
@@ -88,18 +84,21 @@ class OptaneDimm:
 
     def read_line(self, now: Cycles, addr: int, demand: bool = True) -> ReadResponse:
         """Serve one cacheline read arriving at the DIMM at ``now``."""
-        self.counters.imc_read_bytes += CACHELINE_SIZE
+        counters = self.counters
+        counters.imc_read_bytes += CACHELINE_SIZE
         if demand:
-            self.counters.demand_read_bytes += CACHELINE_SIZE
-        self._drain_periodic(now)
+            counters.demand_read_bytes += CACHELINE_SIZE
+        write_buffer = self.write_buffer
+        for writeback in write_buffer.poll(now):
+            self._schedule_writeback(now, writeback)
 
-        xpline = xpline_index(addr)
-        slot = cacheline_slot_in_xpline(addr)
+        xpline = addr // XPLINE_SIZE
+        slot = addr % XPLINE_SIZE // CACHELINE_SIZE
         trace = self.trace
 
-        entry = self.write_buffer.entry(xpline)
+        entry = write_buffer.entries.get(xpline)
         if entry is not None and entry.present_mask & (1 << slot):
-            self.counters.read_buffer_hits += 1
+            counters.read_buffer_hits += 1
             if trace is not None:
                 trace.instant("wbuf", "read-hit", now, self.name, addr=addr)
             return ReadResponse(now + self.config.buffer_read_latency, "write-buffer")
@@ -107,25 +106,27 @@ class OptaneDimm:
         if entry is not None:
             # The XPLine is buffered but this slot's data is not held:
             # one media read completes the entry (read-side RMW fill),
-            # after which every slot is servable from the write buffer.
-            self.counters.read_buffer_misses += 1
-            self.counters.underfill_reads += 1
+            # after which every slot is servable from the write buffer
+            # — how reads "directly load data from the write buffer"
+            # (§3.3) — and a later eviction needs no underfill.
+            counters.read_buffer_misses += 1
+            counters.underfill_reads += 1
             grant = self.media.read_xpline(now, addr)
-            self.write_buffer.fill_from_media(xpline)
+            entry.present_mask = FULL_XPLINE_MASK
             if trace is not None:
                 trace.instant("wbuf", "underfill-fill", now, self.name, addr=addr)
                 trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
             return ReadResponse(grant.finish + TRANSFER_LATENCY, "write-buffer-fill")
 
         if self.read_buffer.deliver(xpline, slot):
-            self.counters.read_buffer_hits += 1
+            counters.read_buffer_hits += 1
             if trace is not None:
                 trace.instant("rbuf", "hit", now, self.name, addr=addr)
             return ReadResponse(now + self.config.buffer_read_latency, "read-buffer")
 
-        self.counters.read_buffer_misses += 1
+        counters.read_buffer_misses += 1
         grant = self.media.read_xpline(now, addr)
-        self.read_buffer.install(xpline, consumed_slots=(slot,))
+        self.read_buffer.install(xpline, (slot,))
         if trace is not None:
             trace.instant("rbuf", "miss", now, self.name, addr=addr)
             trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
@@ -135,25 +136,27 @@ class OptaneDimm:
 
     def ingest_write(self, now: Cycles, addr: int) -> WriteResponse:
         """Ingest one cacheline write drained from the WPQ at ``now``."""
-        self.counters.imc_write_bytes += CACHELINE_SIZE
-        xpline = xpline_index(addr)
-        slot = cacheline_slot_in_xpline(addr)
-        if self.write_buffer.contains(xpline):
-            writebacks = self.write_buffer.write(now, xpline, slot)
-            self.counters.write_buffer_hits += 1
+        counters = self.counters
+        counters.imc_write_bytes += CACHELINE_SIZE
+        xpline = addr // XPLINE_SIZE
+        slot = addr % XPLINE_SIZE // CACHELINE_SIZE
+        write_buffer = self.write_buffer
+        if xpline in write_buffer.entries:
+            writebacks = write_buffer.write(now, xpline, slot)
+            counters.write_buffer_hits += 1
             event = "hit"
-        elif self.config.enable_transition and self.read_buffer.contains(xpline):
+        elif self.config.enable_transition and xpline in self.read_buffer.entries:
             # §3.3: the XPLine transitions from the read buffer to the
             # write buffer; its media contents come along, so no
             # read-modify-write will be needed at eviction time.
             self.read_buffer.take(xpline)
-            writebacks = self.write_buffer.adopt_from_read_buffer(now, xpline, slot)
-            self.counters.write_buffer_misses += 1
-            self.counters.rmw_avoided += 1
+            writebacks = write_buffer.adopt_from_read_buffer(now, xpline, slot)
+            counters.write_buffer_misses += 1
+            counters.rmw_avoided += 1
             event = "transition"
         else:
-            writebacks = self.write_buffer.write(now, xpline, slot)
-            self.counters.write_buffer_misses += 1
+            writebacks = write_buffer.write(now, xpline, slot)
+            counters.write_buffer_misses += 1
             event = "miss"
         if self.trace is not None:
             self.trace.instant("wbuf", event, now, self.name, addr=addr)
@@ -167,12 +170,12 @@ class OptaneDimm:
             # write bandwidth (of any pattern) to the media drain rate.
             ingest_finish = max(ingest_finish, write_start + INGEST_LATENCY)
 
-        persist_completion = ingest_finish + self.config.persist_drain_latency
-        return WriteResponse(ingest_finish, persist_completion)
+        return WriteResponse(ingest_finish, ingest_finish + self.config.persist_drain_latency)
 
     def idle_tick(self, now: Cycles) -> None:
         """Let time-driven machinery (periodic write-back) advance."""
-        self._drain_periodic(now)
+        for writeback in self.write_buffer.poll(now):
+            self._schedule_writeback(now, writeback)
 
     def drain_for_power_failure(self, now: Cycles) -> int:
         """ADR drain: flush the whole write buffer to the media.
@@ -188,13 +191,9 @@ class OptaneDimm:
 
     # -- internals -------------------------------------------------------------
 
-    def _drain_periodic(self, now: Cycles) -> None:
-        for writeback in self.write_buffer.poll(now):
-            self._schedule_writeback(now, writeback)
-
     def _schedule_writeback(self, now: Cycles, writeback: Writeback) -> Cycles:
         """Issue the media work for one write-back; returns write start time."""
-        addr = writeback.xpline * 256
+        addr = writeback.xpline * XPLINE_SIZE
         if writeback.needs_underfill_read:
             self.counters.underfill_reads += 1
         grant = self.media.write_xpline(now, addr, rmw=writeback.needs_underfill_read)

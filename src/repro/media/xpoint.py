@@ -56,7 +56,7 @@ class XPointMedia:
         The caller (the DIMM front-end) decides whether the requester
         blocks until ``grant.finish`` (demand read) or not (prefetch).
         """
-        penalty = self.ait.lookup_penalty(addr, now=now)
+        penalty = self.ait.lookup_penalty(addr, now)
         grant = self.read_ports.acquire(now, READ_LATENCY + penalty)
         self.counters.media_read_bytes += XPLINE_SIZE
         return grant
@@ -73,7 +73,7 @@ class XPointMedia:
         (longer service, and the read bytes show up in telemetry), but
         no external read port is consumed.
         """
-        penalty = self.ait.lookup_penalty(addr, now=now)
+        penalty = self.ait.lookup_penalty(addr, now)
         service = WRITE_LATENCY
         if rmw:
             service *= RMW_FACTOR

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE, cacheline_index
+from repro.common.constants import CACHELINE_SIZE, FULL_XPLINE_MASK, XPLINE_SIZE, cacheline_index
 from repro.common.errors import AddressError, ConfigError, RecoveryError
 from repro.common.rng import DeterministicRng
 from repro.media.ait import MISS_PENALTY
@@ -156,7 +156,7 @@ class CrashSimulator:
 
         pm_channels = [
             channel
-            for region in machine._regions
+            for region in machine.regions
             if region.spec.kind == "pm"
             for channel in region.channels
         ]
@@ -207,7 +207,7 @@ class CrashSimulator:
         # 5. The iMC queues lose power last: every accepted write has
         #    been pushed to the device above, so clearing the WPQ and
         #    the in-flight persist tracker loses nothing.
-        for region in machine._regions:
+        for region in machine.regions:
             for channel in region.channels:
                 channel.power_cycle()
 
@@ -235,8 +235,8 @@ class CrashSimulator:
         for channel in pm_channels:
             buffer = channel.device.write_buffer
             for xpline in buffer.resident_xplines():
-                entry = buffer.entry(xpline)
-                (fallback if entry.fully_dirty else candidates).append((channel, xpline))
+                fully_dirty = buffer.entries[xpline].dirty_mask == FULL_XPLINE_MASK
+                (fallback if fully_dirty else candidates).append((channel, xpline))
         pool = candidates or fallback
         if not pool:
             return set()
@@ -263,9 +263,8 @@ class CrashSimulator:
             return set()
         base_cost = []
         for xpline in resident:
-            entry = buffer.entry(xpline)
             cost = WRITE_LATENCY
-            if not entry.fully_present:
+            if buffer.entries[xpline].present_mask != FULL_XPLINE_MASK:
                 cost *= RMW_FACTOR
             base_cost.append(cost)
         budget = sum(base_cost)

@@ -52,11 +52,12 @@ class ServicePorts:
         """
         if service_time < 0:
             raise ConfigError(f"{self.name}: negative service time {service_time}")
-        index = self._busy_until.index(min(self._busy_until))
-        start = max(now, self._busy_until[index])
+        busy = self._busy_until
+        index = busy.index(min(busy))
+        start = max(now, busy[index])
         finish = start + service_time
-        self._busy_until[index] = finish
-        return ServiceGrant(start=start, finish=finish)
+        busy[index] = finish
+        return ServiceGrant(start, finish)
 
     def reset(self) -> None:
         """Free all ports."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.constants import cacheline_index
+from repro.common.constants import CACHELINE_SIZE
 from repro.sim.clock import Cycles
 from repro.sim.inflight import InflightPersists
 
@@ -62,7 +62,7 @@ class IMCChannel:
 
     def read(self, now: Cycles, addr: int, demand: bool = True):
         """Synchronous cacheline read from the DIMM."""
-        return self.device.read_line(now, addr, demand=demand)
+        return self.device.read_line(now, addr, demand)
 
     def persist_stall(self, now: Cycles, addr: int) -> Cycles | None:
         """Completion time of an in-flight persist covering ``addr``.
@@ -70,7 +70,7 @@ class IMCChannel:
         Returns None when no persist is outstanding — the read can
         proceed immediately.
         """
-        return self.inflight.completion_for(cacheline_index(addr), now)
+        return self.inflight.completion_for(addr // CACHELINE_SIZE, now)
 
     # -- write side -----------------------------------------------------------
 
@@ -86,25 +86,24 @@ class IMCChannel:
         the DIMM ingests the line.  Registers the persist completion in
         the in-flight tracker.
         """
-        index = self._wpq_busy.index(min(self._wpq_busy))
-        issue_ready = max(now, self._wpq_busy[index])
-        acceptance = issue_ready + self.ACCEPT_LATENCY
-        prior = self.inflight.completion_for(cacheline_index(addr), now)
+        busy = self._wpq_busy
+        index = busy.index(min(busy))
+        ready = max(now, busy[index])
+        acceptance = ready + self.ACCEPT_LATENCY
+        line = addr // CACHELINE_SIZE
+        inflight = self.inflight
+        prior = inflight.completion_for(line, now)
         if prior is not None:
             acceptance += min(prior - now, self.SAME_LINE_HAZARD_CAP)
         response = self.device.ingest_write(acceptance, addr)
-        self._wpq_busy[index] = response.ingest_finish
-        self.inflight.add(cacheline_index(addr), response.persist_completion)
+        busy[index] = response.ingest_finish
+        inflight.add(line, response.persist_completion)
         trace = self.trace
         if trace is not None:
             trace.counter("imc", "wpq", now, self.wpq_occupancy(now), self.name)
-            if issue_ready > now:
-                trace.span("imc", "wpq-full", now, issue_ready, self.name, addr=addr)
-        return WpqGrant(
-            issue_ready=issue_ready,
-            acceptance=acceptance,
-            persist_completion=response.persist_completion,
-        )
+            if ready > now:
+                trace.span("imc", "wpq-full", now, ready, self.name, addr=addr)
+        return WpqGrant(ready, acceptance, response.persist_completion)
 
     # -- maintenance ------------------------------------------------------------
 

@@ -31,10 +31,11 @@ import weakref
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.cache.hierarchy import CacheHierarchy, CacheHierarchyConfig
 from repro.cache.prefetch import PrefetchEngine, PrefetcherConfig
-from repro.common.constants import CACHELINE_SIZE, cacheline_index
+from repro.common.constants import CACHELINE_SIZE
 from repro.common.errors import AddressError, ConfigError
 from repro.common.rng import DEFAULT_SEED, DeterministicRng
 from repro.dimm.config import DramDimmConfig, OptaneDimmConfig
@@ -160,10 +161,16 @@ class _Region:
         self.n_channels = len(channels)
 
     def channel_for(self, addr: int) -> IMCChannel:
-        """Route ``addr`` to its interleaved iMC channel."""
-        if self.n_channels == 1:
-            return self.channels[0]
-        return self.channels[((addr - self.base) // INTERLEAVE_BYTES) % self.n_channels]
+        """Route ``addr`` to its interleaved iMC channel.
+
+        The memory operations inline this expression (see Machine).
+        """
+        return self.channels[(addr - self.base) // INTERLEAVE_BYTES % self.n_channels]
+
+
+#: The region memo of a machine that has routed nothing yet: it holds
+#: no address, so the first access falls through to the scan.
+_NOWHERE = SimpleNamespace(base=0, end=0)
 
 
 class Machine:
@@ -176,12 +183,15 @@ class Machine:
         self.registry = TelemetryRegistry()
         self.caches = CacheHierarchy(config.caches)
         self.prefetch = PrefetchEngine(config.prefetchers, self.rng.fork(1))
-        self._regions: list[_Region] = []
+        #: The instantiated regions, in ascending address order.
+        self.regions: list[_Region] = []
         self._inflight_fills: dict[int, Cycles] = {}
         self.prefetch_issued = 0
         for spec in config.regions:
-            self._regions.append(self._build_region(spec))
-        self._regions.sort(key=lambda region: region.base)
+            self.regions.append(self._build_region(spec))
+        self.regions.sort(key=lambda region: region.base)
+        #: The region the last scan found (see region_of).
+        self._route = _NOWHERE
         #: Weak refs to the cores created via new_core.  Weak, not
         #: strong: a strong list would close a Machine -> Core ->
         #: Machine cycle, parking every discarded machine (and its
@@ -220,15 +230,21 @@ class Machine:
     # -- address routing -----------------------------------------------------
 
     def region_of(self, addr: int) -> _Region:
-        """Region containing ``addr`` (AddressError if unmapped)."""
-        for region in self._regions:
+        """Region containing ``addr`` (AddressError if unmapped).
+
+        The region found is remembered: successive accesses mostly stay
+        in one region, so the memory operations test that one inline
+        and call this only for an address outside it.
+        """
+        for region in self.regions:
             if region.base <= addr < region.end:
+                self._route = region
                 return region
         raise AddressError(f"address {addr:#x} is outside every mapped region")
 
     def region_spec(self, name: str) -> RegionSpec:
         """Spec of the region called ``name``."""
-        for region in self._regions:
+        for region in self.regions:
             if region.spec.name == name:
                 return region.spec
         raise AddressError(f"no region named {name!r}")
@@ -256,7 +272,7 @@ class Machine:
         """Every iMC channel, keyed by its device's name (``pm0``, ...)."""
         return {
             channel.device.name: channel
-            for region in self._regions
+            for region in self.regions
             for channel in region.channels
         }
 
@@ -280,49 +296,63 @@ class Machine:
         return self.registry.measure(region_name)
 
     # -- memory operations (called by Core) -------------------------------------
+    #
+    # Each operation is one frame: routing (the region memo, then
+    # ``_Region.channel_for`` inlined), the core's flush bookkeeping and
+    # the persist through the WPQ are written out in place, so the only
+    # calls an untraced access makes are to the cache hierarchy, the
+    # iMC channel and what they call in turn.  Methods of other objects
+    # are looked up per call, never bound at construction, so a class
+    # patched after a machine or core was built is still reached.
 
     def demand_load(self, now: Cycles, addr: int, core: "Core") -> Cycles:
         """One 64 B demand load; returns its completion time."""
-        if self.trace is not None:
-            self.trace.on_op(now)
-        line = cacheline_index(addr)
-        result = self.caches.access(line, is_write=False)
+        trace = self.trace
+        if trace is not None:
+            trace.on_op(now)
+        line = addr // CACHELINE_SIZE
+        result = self.caches.access(line, False)
         if result.hit_level is not None:
             finish = now + result.latency
             fill_done = self._inflight_fills.get(line)
             if fill_done is not None and fill_done > finish:
                 finish = fill_done  # data still in flight from a prefetch
-            self._handle_llc_writebacks(result.memory_writebacks, now)
+            if result.memory_writebacks:
+                self._handle_llc_writebacks(result.memory_writebacks, now)
         else:
-            finish = self._load_from_memory(now + result.latency, addr, line, core)
-        self._observe(now, line, result.hit_level)
-        return finish
-
-    def _load_from_memory(self, now: Cycles, addr: int, line: int, core: "Core") -> Cycles:
-        region = self.region_of(addr)
-        channel = region.channel_for(addr)
-        trace = self.trace
-        start = now
-        stall = channel.persist_stall(now, addr)
-        if stall is not None:
-            if core.window_contains(line):
+            # A miss reaches memory after the full-probe overhead.
+            start = sent = now + result.latency
+            region = self._route
+            if not region.base <= addr < region.end:
+                region = self.region_of(addr)
+            channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
+            stall = channel.persist_stall(sent, addr)
+            if stall is not None and line in core.recent_flushes:
                 # The load overtakes the flush (sfence does not order
                 # loads) and is served from the pre-flush cached copy.
-                return now + self.config.caches.l1.latency
-            if core.last_fence == "sfence":
-                stall = now + (stall - now) * (1.0 - self.config.timing.sfence_rap_overlap)
-            if trace is not None and stall > now:
-                trace.span("persist", "rap-stall", now, stall, core.name, addr=addr)
-            now = max(now, stall)
-        response = channel.read(now, addr, demand=True)
-        finish = response.finish
-        if region.spec.remote:
-            finish += region.spec.remote_read_adder
-        writebacks = self.caches.fill(line, dirty=False, into_l1=True)
-        self._handle_llc_writebacks(writebacks, now)
-        if trace is not None:
-            trace.span("cache", "load-miss", start, finish, core.name,
-                       addr=addr, source=response.source)
+                finish = sent + self.config.caches.l1.latency
+            else:
+                if stall is not None:
+                    if core.last_fence == "sfence":
+                        overlap = self.config.timing.sfence_rap_overlap
+                        stall = sent + (stall - sent) * (1.0 - overlap)
+                    if trace is not None and stall > sent:
+                        trace.span("persist", "rap-stall", sent, stall, core.name, addr=addr)
+                    sent = max(sent, stall)
+                response = channel.read(sent, addr, True)
+                finish = response.finish
+                if region.spec.remote:
+                    finish += region.spec.remote_read_adder
+                writebacks = self.caches.fill(line, False, True)
+                if writebacks:
+                    self._handle_llc_writebacks(writebacks, sent)
+                if trace is not None:
+                    trace.span("cache", "load-miss", start, finish, core.name,
+                               addr=addr, source=response.source)
+        prefetch = self.prefetch
+        if prefetch.enabled:
+            for candidate in prefetch.observe(line, result.hit_level):
+                self._issue_prefetch(now, candidate)
         return finish
 
     def demand_store(self, now: Cycles, addr: int, core: "Core") -> Cycles:
@@ -335,21 +365,28 @@ class Machine:
         """
         if self.trace is not None:
             self.trace.on_op(now)
-        line = cacheline_index(addr)
-        result = self.caches.access(line, is_write=True)
+        line = addr // CACHELINE_SIZE
+        result = self.caches.access(line, True)
         if result.hit_level is not None:
             finish = now + min(result.latency, STORE_BUFFER_LATENCY)
-            self._handle_llc_writebacks(result.memory_writebacks, now)
+            if result.memory_writebacks:
+                self._handle_llc_writebacks(result.memory_writebacks, now)
         else:
             # Write-allocate: the RFO read happens in the background and
             # the store retires from the store buffer without waiting.
-            region = self.region_of(addr)
-            channel = region.channel_for(addr)
-            channel.read(now, addr, demand=True)
-            writebacks = self.caches.fill(line, dirty=True, into_l1=True)
-            self._handle_llc_writebacks(writebacks, now)
+            region = self._route
+            if not region.base <= addr < region.end:
+                region = self.region_of(addr)
+            channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
+            channel.read(now, addr, True)
+            writebacks = self.caches.fill(line, True, True)
+            if writebacks:
+                self._handle_llc_writebacks(writebacks, now)
             finish = now + STORE_BUFFER_LATENCY
-        self._observe(now, line, result.hit_level)
+        prefetch = self.prefetch
+        if prefetch.enabled:
+            for candidate in prefetch.observe(line, result.hit_level):
+                self._issue_prefetch(now, candidate)
         return finish
 
     def stream_load(self, now: Cycles, addr: int) -> Cycles:
@@ -363,14 +400,16 @@ class Machine:
         if trace is not None:
             trace.on_op(now)
         start = now
-        region = self.region_of(addr)
-        channel = region.channel_for(addr)
+        region = self._route
+        if not region.base <= addr < region.end:
+            region = self.region_of(addr)
+        channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
         stall = channel.persist_stall(now, addr)
         if stall is not None:
             if trace is not None and stall > now:
                 trace.span("persist", "rap-stall", now, stall, None, addr=addr)
             now = max(now, stall)
-        response = channel.read(now, addr, demand=True)
+        response = channel.read(now, addr, True)
         finish = response.finish
         if region.spec.remote:
             finish += region.spec.remote_read_adder
@@ -380,10 +419,15 @@ class Machine:
         return finish
 
     def flush_line(self, now: Cycles, addr: int, core: "Core", invalidate: bool) -> Cycles:
-        """clwb / clflush(opt) of one line; returns instruction finish time."""
-        if self.trace is not None:
-            self.trace.on_op(now)
-        line = cacheline_index(addr)
+        """clwb / clflush(opt) of one line; returns instruction finish time.
+
+        A dirty line is pushed through the WPQ; the core's next fence
+        waits for its acceptance.
+        """
+        trace = self.trace
+        if trace is not None:
+            trace.on_op(now)
+        line = addr // CACHELINE_SIZE
         if invalidate:
             dirty = self.caches.invalidate(line)
             cost = CLWB_ISSUE
@@ -392,10 +436,21 @@ class Machine:
             cost = CLWB_ISSUE + self.config.timing.clwb_coherence_cost
         if not dirty:
             return now + cost
-        region = self.region_of(addr)
-        channel = region.channel_for(addr)
+        region = self._route
+        if not region.base <= addr < region.end:
+            region = self.region_of(addr)
+        channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
         was_inflight = channel.persist_stall(now, addr) is not None
-        issued = self._persist_line(now, addr, line, region, channel, core, "flush")
+        grant = channel.write(now, addr)
+        acceptance = grant.acceptance
+        if region.spec.remote:
+            acceptance += region.spec.remote_write_adder
+            channel.inflight.add(line, grant.persist_completion + region.spec.remote_persist_adder)
+        core.pending_acceptances.append(acceptance)
+        if trace is not None:
+            trace.span("persist", "flush", now, acceptance, core.name, addr=addr)
+            trace.span("persist", "drain", acceptance, grant.persist_completion,
+                       core.name, addr=addr)
         if invalidate:
             if was_inflight:
                 # Re-flushing a line whose previous persist is still in
@@ -404,50 +459,39 @@ class Machine:
                 # one and hit the caches.  This is what makes repeated
                 # flush+load of a single cacheline (B+-tree key
                 # shifting, Section 4.2) pay the full RAP cost on G1.
-                core.forget_flush(line)
+                if line in core.recent_flushes:
+                    core.recent_flushes.remove(line)
             else:
-                core.note_flush(line)
-        return issued + cost
+                core.recent_flushes.append(line)
+        return max(now, grant.issue_ready) + cost
 
     def nt_store_line(self, now: Cycles, addr: int, core: "Core") -> Cycles:
-        """One 64 B non-temporal store; returns instruction finish time."""
-        if self.trace is not None:
-            self.trace.on_op(now)
-        line = cacheline_index(addr)
-        self.caches.invalidate(line)
-        region = self.region_of(addr)
-        channel = region.channel_for(addr)
-        issued = self._persist_line(now, addr, line, region, channel, core, "nt-store")
-        return issued + NTSTORE_ISSUE
+        """One 64 B non-temporal store; returns instruction finish time.
 
-    # -- internals ---------------------------------------------------------------
-
-    def _persist_line(self, now: Cycles, addr: int, line: int, region: _Region,
-                      channel: IMCChannel, core: "Core", kind: str) -> Cycles:
-        """Push one flushed or nt-stored line through the WPQ for ``core``.
-
-        The next fence waits for the line's acceptance; ``kind`` names
-        the core's persist span.  Returns when the instruction issues
-        (later than ``now`` under WPQ back-pressure).
+        Pushed through the WPQ like a flush (see :meth:`flush_line`).
         """
+        trace = self.trace
+        if trace is not None:
+            trace.on_op(now)
+        line = addr // CACHELINE_SIZE
+        self.caches.invalidate(line)
+        region = self._route
+        if not region.base <= addr < region.end:
+            region = self.region_of(addr)
+        channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
         grant = channel.write(now, addr)
         acceptance = grant.acceptance
         if region.spec.remote:
             acceptance += region.spec.remote_write_adder
             channel.inflight.add(line, grant.persist_completion + region.spec.remote_persist_adder)
-        core.note_acceptance(acceptance)
-        trace = self.trace
+        core.pending_acceptances.append(acceptance)
         if trace is not None:
-            trace.span("persist", kind, now, acceptance, core.name, addr=addr)
+            trace.span("persist", "nt-store", now, acceptance, core.name, addr=addr)
             trace.span("persist", "drain", acceptance, grant.persist_completion,
                        core.name, addr=addr)
-        return max(now, grant.issue_ready)
+        return max(now, grant.issue_ready) + NTSTORE_ISSUE
 
-    def _observe(self, now: Cycles, line: int, hit_level: int | None) -> None:
-        if not self.prefetch.enabled:
-            return
-        for candidate in self.prefetch.observe(line, hit_level):
-            self._issue_prefetch(now, candidate)
+    # -- internals ---------------------------------------------------------------
 
     def _issue_prefetch(self, now: Cycles, line: int) -> None:
         # Residency first: most candidates are already cached, and both
@@ -463,12 +507,13 @@ class Machine:
         if fill_done is not None and fill_done > now:
             return
         channel = region.channel_for(addr)
-        response = channel.read(now, addr, demand=False)
+        response = channel.read(now, addr, False)
         finish = response.finish
         if region.spec.remote:
             finish += region.spec.remote_read_adder
-        writebacks = self.caches.fill(line, dirty=False, into_l1=False)
-        self._handle_llc_writebacks(writebacks, now)
+        writebacks = self.caches.fill(line, False, False)
+        if writebacks:
+            self._handle_llc_writebacks(writebacks, now)
         self._inflight_fills[line] = finish
         self.prefetch_issued += 1
         if len(self._inflight_fills) > 65536:
@@ -476,7 +521,7 @@ class Machine:
                 key: value for key, value in self._inflight_fills.items() if value > now
             }
 
-    def _handle_llc_writebacks(self, lines, now: Cycles) -> None:
+    def _handle_llc_writebacks(self, lines: tuple[int, ...], now: Cycles) -> None:
         for line in lines:
             addr = line * CACHELINE_SIZE
             try:
@@ -491,7 +536,7 @@ class Machine:
         self.caches.clear()
         self.prefetch.reset()
         self._inflight_fills.clear()
-        for region in self._regions:
+        for region in self.regions:
             for channel in region.channels:
                 channel.reset()
 
@@ -501,15 +546,23 @@ _LINE_MASK = ~(CACHELINE_SIZE - 1)
 
 
 class Core:
-    """One hardware thread executing memory operations on a Machine."""
+    """One hardware thread executing memory operations on a Machine.
+
+    Every data operation walks the cachelines ``[addr, addr + size)``
+    touches (at least one) in one ``while`` loop: a one-line operation,
+    the common case, costs one machine call and nothing else.
+    """
 
     def __init__(self, machine: Machine, name: str = "cpu0") -> None:
         self.machine = machine
         self.name = name
         self.now: Cycles = 0.0
         self.last_fence: str = "mfence"
-        self._pending_acceptances: list[Cycles] = []
-        self._recent_flushes: deque[int] = deque(
+        #: Acceptance times of flushes no fence has waited for yet.
+        self.pending_acceptances: list[Cycles] = []
+        #: The sfence load-reorder window: lines whose recent flush a
+        #: load may still overtake (see Machine.flush_line).
+        self.recent_flushes: deque[int] = deque(
             maxlen=max(machine.config.timing.sfence_reorder_window, 1)
         )
         self.loads = 0
@@ -517,127 +570,125 @@ class Core:
         self.flushes = 0
         self.fences = 0
 
-    # -- bookkeeping used by Machine -------------------------------------------
-
-    def note_acceptance(self, acceptance: Cycles) -> None:
-        """Record a flush acceptance the next fence must wait for."""
-        self._pending_acceptances.append(acceptance)
-
-    def note_flush(self, line: int) -> None:
-        """Add ``line`` to the sfence load-reorder window."""
-        self._recent_flushes.append(line)
-
-    def forget_flush(self, line: int) -> None:
-        """Drop ``line`` from the reorder window (see Machine.flush_line)."""
-        if line in self._recent_flushes:
-            self._recent_flushes.remove(line)
-
-    def window_contains(self, line: int) -> bool:
-        """True if a load may still overtake the flush of ``line``."""
-        return line in self._recent_flushes
-
-    @property
-    def store_buffer_pending(self) -> int:
-        """Flush acceptances no fence has consumed yet (backlog depth)."""
-        return len(self._pending_acceptances)
-
     # -- data operations ---------------------------------------------------------
-
-    def _lines(self, addr: int, size: int) -> range:
-        # cacheline_base, inlined: this runs once per core operation.
-        last = (addr + max(size, 1) - 1) & _LINE_MASK
-        return range(addr & _LINE_MASK, last + 1, CACHELINE_SIZE)
 
     def load(self, addr: int, size: int = 8) -> Cycles:
         """Load ``size`` bytes; returns the cycles this took."""
         start = self.now
-        for line_addr in self._lines(addr, size):
+        demand_load = self.machine.demand_load
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.loads += 1
-            self.now = self.machine.demand_load(self.now, line_addr, self)
-        return self.now - start
+            self.now = demand_load(self.now, line_addr, self)
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     def store(self, addr: int, size: int = 8) -> Cycles:
         """Store ``size`` bytes through the cache; returns cycles taken."""
         start = self.now
-        for line_addr in self._lines(addr, size):
+        demand_store = self.machine.demand_store
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.stores += 1
-            self.now = self.machine.demand_store(self.now, line_addr, self)
-        return self.now - start
+            self.now = demand_store(self.now, line_addr, self)
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     def nt_store(self, addr: int, size: int = 64) -> Cycles:
         """Non-temporal store of ``size`` bytes (cache-bypassing)."""
         start = self.now
-        for line_addr in self._lines(addr, size):
+        nt_store_line = self.machine.nt_store_line
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.stores += 1
-            self.now = self.machine.nt_store_line(self.now, line_addr, self)
-        return self.now - start
+            self.now = nt_store_line(self.now, line_addr, self)
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     def stream_load(self, addr: int, size: int = 64) -> Cycles:
         """SIMD streaming load (no cache fill, no prefetch training)."""
         start = self.now
-        for line_addr in self._lines(addr, size):
+        stream_load = self.machine.stream_load
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.loads += 1
-            self.now = self.machine.stream_load(self.now, line_addr) + STREAM_LOAD_ISSUE
-        return self.now - start
+            self.now = stream_load(self.now, line_addr) + STREAM_LOAD_ISSUE
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     # -- persistence primitives -----------------------------------------------------
 
     def clwb(self, addr: int, size: int = 64) -> Cycles:
         """Cache line write back; invalidates on G1, retains on G2."""
         start = self.now
+        flush_line = self.machine.flush_line
         invalidate = not self.machine.config.clwb_retains
-        for line_addr in self._lines(addr, size):
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.flushes += 1
-            self.now = self.machine.flush_line(self.now, line_addr, self, invalidate=invalidate)
-        return self.now - start
+            self.now = flush_line(self.now, line_addr, self, invalidate)
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     def clflushopt(self, addr: int, size: int = 64) -> Cycles:
         """Optimized cache line flush: always invalidates, weakly ordered."""
         start = self.now
-        for line_addr in self._lines(addr, size):
+        flush_line = self.machine.flush_line
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.flushes += 1
-            self.now = self.machine.flush_line(self.now, line_addr, self, invalidate=True)
-        return self.now - start
+            self.now = flush_line(self.now, line_addr, self, True)
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     def clflush(self, addr: int, size: int = 64) -> Cycles:
         """Legacy serializing flush: invalidates and waits for acceptance."""
         start = self.now
-        for line_addr in self._lines(addr, size):
+        flush_line = self.machine.flush_line
+        line_addr, last = addr & _LINE_MASK, (addr + size - 1) & _LINE_MASK
+        while True:
             self.flushes += 1
-            self.now = self.machine.flush_line(self.now, line_addr, self, invalidate=True)
-            self.now += CLFLUSH_ISSUE
-            if self._pending_acceptances:
-                self.now = max(self.now, self._pending_acceptances[-1])
-        return self.now - start
+            self.now = flush_line(self.now, line_addr, self, True) + CLFLUSH_ISSUE
+            if self.pending_acceptances:
+                self.now = max(self.now, self.pending_acceptances[-1])
+            if line_addr >= last:
+                return self.now - start
+            line_addr += CACHELINE_SIZE
 
     def sfence(self) -> Cycles:
         """Store fence: waits for WPQ acceptance of prior flushes only."""
         start = self.now
         self.fences += 1
-        target = max(self._pending_acceptances, default=self.now)
-        self.now = max(self.now + SFENCE_COST, target)
-        self._pending_acceptances.clear()
+        target = max(self.pending_acceptances, default=start)
+        self.now = max(start + SFENCE_COST, target)
+        self.pending_acceptances.clear()
         self.last_fence = "sfence"
-        self._trace_fence("sfence", start)
+        if self.machine.trace is not None:
+            self._trace_fence("sfence", start)
         return self.now - start
 
     def mfence(self) -> Cycles:
         """Full fence: like sfence, but also orders subsequent loads."""
         start = self.now
         self.fences += 1
-        target = max(self._pending_acceptances, default=self.now)
-        self.now = max(self.now + MFENCE_COST, target)
-        self._pending_acceptances.clear()
-        self._recent_flushes.clear()
+        target = max(self.pending_acceptances, default=start)
+        self.now = max(start + MFENCE_COST, target)
+        self.pending_acceptances.clear()
+        self.recent_flushes.clear()
         self.last_fence = "mfence"
-        self._trace_fence("mfence", start)
+        if self.machine.trace is not None:
+            self._trace_fence("mfence", start)
         return self.now - start
 
     def _trace_fence(self, kind: str, start: Cycles) -> None:
         """Emit a persist span for one executed fence (traced runs only)."""
         trace = self.machine.trace
-        if trace is None:
-            return
         trace.span("persist", kind, start, self.now, self.name)
         trace.on_op(self.now)
 

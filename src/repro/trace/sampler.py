@@ -166,7 +166,7 @@ class TelemetrySampler:
 
     def sample(self, ts: Cycles) -> None:
         """Force one sample row per device, stamped at ``ts``."""
-        pending = sum(core.store_buffer_pending for core in self.machine.cores)
+        pending = sum(len(core.pending_acceptances) for core in self.machine.cores)
         for name, channel in self._channels.items():
             counters = channel.device.counters
             delta = counters.delta(self._prev[name])

@@ -4,32 +4,32 @@ Every Section-3 experiment is defined by a controlled access pattern:
 strided reads aligned to XPLines (Figure 2), sequential-within /
 sequential-or-random-across XPLine writes (Figure 3), random XPLine
 blocks (Figures 6/13), circular pointer chains (Figure 8).  The
-generators here produce those address sequences deterministically.
+functions here produce those address sequences deterministically.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 
 
-def strided_read_addresses(base: int, wss: int, cachelines_per_xpline: int) -> Iterator[int]:
+def strided_read_addresses(base: int, wss: int, cachelines_per_xpline: int) -> list[int]:
     """The Figure 2 pattern: pass p reads cacheline p of every XPLine.
 
-    Yields addresses for one complete cycle of ``cachelines_per_xpline``
-    passes over the region.
+    Returns the addresses of one complete cycle of
+    ``cachelines_per_xpline`` passes over the region.
     """
     if not 1 <= cachelines_per_xpline <= 4:
         raise ConfigError("CpX must be between 1 and 4")
     n_xplines = wss // XPLINE_SIZE
     if n_xplines == 0:
         raise ConfigError(f"working set {wss} smaller than one XPLine")
-    for pass_index in range(cachelines_per_xpline):
-        for xpline in range(n_xplines):
-            yield base + xpline * XPLINE_SIZE + pass_index * CACHELINE_SIZE
+    return [
+        base + xpline * XPLINE_SIZE + pass_index * CACHELINE_SIZE
+        for pass_index in range(cachelines_per_xpline)
+        for xpline in range(n_xplines)
+    ]
 
 
 def partial_write_addresses(
@@ -37,13 +37,13 @@ def partial_write_addresses(
     wss: int,
     written_cachelines: int,
     rng: DeterministicRng | None = None,
-) -> Iterator[int]:
+) -> list[int]:
     """The Figure 3 pattern: write the first ``written_cachelines`` lines
     of each XPLine, sequentially within the XPLine.
 
     XPLine visit order is sequential when ``rng`` is None, random
     otherwise (the paper found the results identical — a property our
-    tests verify).
+    tests verify); a random order draws one shuffle from ``rng`` per call.
     """
     if not 1 <= written_cachelines <= 4:
         raise ConfigError("written_cachelines must be between 1 and 4")
@@ -53,20 +53,21 @@ def partial_write_addresses(
     order = list(range(n_xplines))
     if rng is not None:
         rng.shuffle(order)
-    for xpline in order:
-        for slot in range(written_cachelines):
-            yield base + xpline * XPLINE_SIZE + slot * CACHELINE_SIZE
+    return [
+        base + xpline * XPLINE_SIZE + slot * CACHELINE_SIZE
+        for xpline in order
+        for slot in range(written_cachelines)
+    ]
 
 
 def random_block_sequence(
     base: int, wss: int, visits: int, rng: DeterministicRng
-) -> Iterator[int]:
-    """The Figure 6/13 pattern: uniformly random 256 B block base addresses."""
+) -> list[int]:
+    """Uniformly random 256 B block base addresses (the Figure 4 and 6/13 pattern)."""
     n_blocks = wss // XPLINE_SIZE
     if n_blocks == 0:
         raise ConfigError(f"working set {wss} smaller than one block")
-    for _ in range(visits):
-        yield base + rng.choice_index(n_blocks) * XPLINE_SIZE
+    return [base + rng.choice_index(n_blocks) * XPLINE_SIZE for _ in range(visits)]
 
 
 def circular_chain(count: int, sequential: bool, rng: DeterministicRng | None = None) -> list[int]:

@@ -60,7 +60,7 @@ class TestReadBufferProperties:
             else:
                 buffer.deliver(xpline, slot)
                 # A fully consumed entry is dropped, not evicted.
-                if not buffer.contains(xpline) and xpline in model:
+                if xpline not in buffer.entries and xpline in model:
                     model.remove(xpline)
             assert len(buffer) <= capacity_lines
             assert buffer.resident_xplines() == model
@@ -132,7 +132,7 @@ class TestWriteBufferProperties:
         )
         evictions = []
         for position, xpline in enumerate(order):
-            assert not buffer.contains(xpline)  # each XPLine visited exactly once
+            assert xpline not in buffer.entries  # each XPLine visited exactly once
             evictions.extend(buffer.write(float(position), xpline, slot=0))
         drained = buffer.drain_all()
         assert len(evictions) == max(0, len(order) - capacity_lines)

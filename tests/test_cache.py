@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.hierarchy import CacheHierarchy, CacheHierarchyConfig
-from repro.cache.set_assoc import CacheLevelConfig, Eviction, SetAssociativeCache
+from repro.cache.set_assoc import CacheLevelConfig, SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.common.units import kib, mib
 
@@ -18,26 +18,38 @@ def small_cache(size=1024, ways=2, latency=4.0):
     return SetAssociativeCache(CacheLevelConfig("t", size, ways, latency))
 
 
+def holds(level, line):
+    """True if ``level`` holds ``line`` (no LRU side effects)."""
+    return line in level.sets.get(line % level.n_sets, ())
+
+
+def one_level_hier(ways=2, sets=1):
+    """A hierarchy whose three levels share one geometry: every fill of
+    a new line into a full set evicts the same LRU victim everywhere."""
+    size = sets * ways * 64
+    return CacheHierarchy(
+        CacheHierarchyConfig(
+            l1=CacheLevelConfig("L1", size, ways, 4.0),
+            l2=CacheLevelConfig("L2", size, ways, 14.0),
+            l3=CacheLevelConfig("L3", size, ways, 42.0),
+        )
+    )
+
+
 class TestSetAssocBasics:
     def test_miss_then_hit(self):
-        cache = small_cache()
-        assert not cache.lookup(1)
-        cache.fill(1)
-        assert cache.lookup(1)
-
-    def test_hit_miss_counters(self):
-        cache = small_cache()
-        cache.lookup(1)
-        cache.fill(1)
-        cache.lookup(1)
-        assert cache.misses == 1
-        assert cache.hits == 1
+        h = one_level_hier()
+        assert h.access(1, is_write=False).hit_level is None
+        h.fill(1)
+        assert h.access(1, is_write=False).hit_level == 1
 
     def test_probe_has_no_side_effects(self):
-        cache = small_cache()
-        cache.fill(1)
-        cache.probe(1)
-        assert cache.hits == 0
+        h = one_level_hier()
+        h.fill(0)
+        h.fill(1)
+        assert holds(h.l1, 0) and h.contains(0)  # no refresh: 0 stays LRU
+        h.fill(2)
+        assert not h.contains(0)
 
     def test_geometry(self):
         config = CacheLevelConfig("L1", kib(32), 8, 4.0)
@@ -51,82 +63,97 @@ class TestSetAssocBasics:
 
 class TestSetAssocEviction:
     def test_lru_eviction(self):
-        cache = small_cache(size=2 * 64, ways=2)  # one set, two ways
-        cache.fill(0)
-        cache.fill(1)
-        cache.lookup(0)  # 0 is now MRU
-        eviction = cache.fill(2)
-        assert eviction.line == 1
+        h = CacheHierarchy(  # L1: one set, two ways, over roomy L2/L3
+            CacheHierarchyConfig(
+                l1=CacheLevelConfig("L1", 128, 2, 4.0),
+                l2=CacheLevelConfig("L2", kib(16), 4, 14.0),
+                l3=CacheLevelConfig("L3", kib(64), 8, 42.0),
+            )
+        )
+        h.fill(0)
+        h.fill(1)
+        h.access(0, is_write=False)  # 0 is now MRU in L1
+        h.fill(2)
+        assert holds(h.l1, 0) and not holds(h.l1, 1)
+        assert holds(h.l2, 1)
 
     def test_fill_refreshes_lru(self):
-        cache = small_cache(size=2 * 64, ways=2)
-        cache.fill(0)
-        cache.fill(1)
-        cache.fill(0)  # refresh
-        eviction = cache.fill(2)
-        assert eviction.line == 1
+        h = one_level_hier()
+        h.fill(0)
+        h.fill(1)
+        h.fill(0)  # refresh
+        h.fill(2)
+        assert h.contains(0) and not h.contains(1)
 
     def test_eviction_carries_dirty_flag(self):
-        cache = small_cache(size=2 * 64, ways=2)
-        cache.fill(0, dirty=True)
-        cache.fill(1)
-        eviction = cache.fill(2)
-        assert eviction.line == 0 and eviction.dirty
+        h = one_level_hier()
+        h.fill(0, dirty=True)
+        h.fill(1)
+        assert h.fill(2) == (0,)  # the dirty victim is written back
+
+    def test_clean_eviction_writes_nothing_back(self):
+        h = one_level_hier()
+        h.fill(0)
+        h.fill(1)
+        assert h.fill(2) == ()
 
     def test_different_sets_do_not_conflict(self):
-        cache = small_cache(size=4 * 64, ways=2)  # two sets
-        assert cache.fill(0) is None
-        assert cache.fill(1) is None  # other set
-        assert cache.fill(2) is None
-        assert cache.fill(3) is None
+        h = one_level_hier(sets=2)
+        for line in range(4):
+            assert h.fill(line, dirty=True) == ()
+        assert all(h.contains(line) for line in range(4))
 
 
 class TestSetAssocDirty:
     def test_set_dirty_requires_presence(self):
-        cache = small_cache()
-        assert not cache.set_dirty(1)
-        cache.fill(1)
-        assert cache.set_dirty(1)
-        assert cache.is_dirty(1)
+        h = one_level_hier()
+        h.fill(1, dirty=True, into_l1=False)  # marks the resident L2 copy
+        assert h.l2.is_dirty(1)
+        assert h.access(2, is_write=True).hit_level is None  # a miss marks nothing
+        assert not h.contains(2)
+        h.fill(3)
+        h.access(3, is_write=True)
+        assert h.l1.is_dirty(3)
 
     def test_clean_keeps_line(self):
-        cache = small_cache()
-        cache.fill(1, dirty=True)
-        assert cache.clean(1)
-        assert cache.probe(1)
-        assert not cache.is_dirty(1)
+        h = one_level_hier()
+        h.fill(1, dirty=True)
+        assert h.clean(1)
+        assert holds(h.l1, 1)
+        assert not h.is_dirty(1)
+        assert not h.clean(1)
 
     def test_invalidate_reports_dirty(self):
-        cache = small_cache()
-        cache.fill(1, dirty=True)
-        present, dirty = cache.invalidate(1)
-        assert present and dirty
-        assert not cache.probe(1)
+        h = one_level_hier()
+        h.fill(1, dirty=True)
+        assert h.invalidate(1)
+        assert not h.contains(1)
+        assert not h.invalidate(1)
 
     def test_fill_merges_dirty(self):
-        cache = small_cache()
-        cache.fill(1, dirty=True)
-        cache.fill(1, dirty=False)
-        assert cache.is_dirty(1)
+        h = one_level_hier()
+        h.fill(1, dirty=True)
+        h.fill(1, dirty=False)
+        assert h.is_dirty(1)
 
 
 @settings(max_examples=40)
-@given(st.lists(st.integers(0, 200), max_size=400))
-def test_capacity_never_exceeded(lines):
-    cache = small_cache(size=8 * 64, ways=2)
-    for line in lines:
-        cache.fill(line)
-        assert cache.resident_lines <= 8
+@given(st.lists(st.tuples(st.integers(0, 200), st.booleans()), max_size=400))
+def test_capacity_never_exceeded(fills):
+    h = one_level_hier(ways=2, sets=4)
+    for line, into_l1 in fills:
+        h.fill(line, into_l1=into_l1)
+        for level in (h.l1, h.l2, h.l3):
+            assert level.resident_lines <= 8
+            assert all(len(s) <= level.ways for s in level.sets.values())
 
 
 class EagerReferenceCache:
-    """Reference model: one OrderedDict per set, all built up front."""
+    """Reference level: one OrderedDict per set, all built up front."""
 
     def __init__(self, n_sets, ways):
         self.sets = [OrderedDict() for _ in range(n_sets)]
         self.ways = ways
-        self.hits = 0
-        self.misses = 0
 
     def _set(self, line):
         return self.sets[line % len(self.sets)]
@@ -135,13 +162,8 @@ class EagerReferenceCache:
         s = self._set(line)
         if line in s:
             s.move_to_end(line)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
-
-    def probe(self, line):
-        return line in self._set(line)
 
     def fill(self, line, dirty):
         s = self._set(line)
@@ -151,12 +173,11 @@ class EagerReferenceCache:
             return None
         s[line] = dirty
         if len(s) > self.ways:
-            return Eviction(*s.popitem(last=False))
+            return s.popitem(last=False)
         return None
 
     def invalidate(self, line):
-        dirty = self._set(line).pop(line, None)
-        return (False, False) if dirty is None else (True, dirty)
+        return bool(self._set(line).pop(line, False))
 
     def clean(self, line):
         s = self._set(line)
@@ -172,91 +193,160 @@ class EagerReferenceCache:
             return True
         return False
 
-    def is_dirty(self, line):
-        return bool(self._set(line).get(line, False))
-
-    @property
-    def resident_lines(self):
-        return sum(len(s) for s in self.sets)
-
-    def dirty_lines(self):
-        return [line for s in self.sets for line, dirty in s.items() if dirty]
-
     def clear(self):
         for s in self.sets:
             s.clear()
 
 
-CACHE_OPS = ("lookup", "probe", "fill", "invalidate", "clean", "set_dirty", "is_dirty", "clear")
+class ReferenceHierarchy:
+    """The inclusive hierarchy written level by level: per-level
+    lookup/fill/invalidate calls and a recursive fill cascade."""
+
+    def __init__(self, geometry):
+        self.levels = [EagerReferenceCache(n_sets, ways) for n_sets, ways in geometry]
+
+    def contains(self, line):
+        return any(line in level._set(line) for level in self.levels)
+
+    def access(self, line, is_write):
+        l1, l2, l3 = self.levels
+        if l1.lookup(line):
+            if is_write:
+                l1.set_dirty(line)
+            return (1, ())
+        writebacks = []
+        if l2.lookup(line):
+            self._fill_level(0, line, is_write, writebacks)
+            return (2, tuple(writebacks))
+        if l3.lookup(line):
+            self._fill_level(1, line, False, writebacks)
+            self._fill_level(0, line, is_write, writebacks)
+            return (3, tuple(writebacks))
+        return (None, ())
+
+    def fill(self, line, dirty, into_l1):
+        writebacks = []
+        self._fill_level(2, line, False, writebacks)
+        self._fill_level(1, line, False, writebacks)
+        if into_l1:
+            self._fill_level(0, line, dirty, writebacks)
+        elif dirty:
+            self.levels[1].set_dirty(line)
+        return tuple(writebacks)
+
+    def invalidate(self, line):
+        dirty = [level.invalidate(line) for level in self.levels]
+        return any(dirty)
+
+    def clean(self, line):
+        dirty = [level.clean(line) for level in self.levels]
+        return any(dirty)
+
+    def clear(self):
+        for level in self.levels:
+            level.clear()
+
+    def _fill_level(self, index, line, dirty, writebacks):
+        eviction = self.levels[index].fill(line, dirty)
+        if eviction is None:
+            return
+        victim, victim_dirty = eviction
+        if index < 2:
+            if victim_dirty and not self.levels[index + 1].set_dirty(victim):
+                self._fill_level(index + 1, victim, True, writebacks)
+        else:
+            inner_dirty = [level.invalidate(victim) for level in self.levels[:2]]
+            if victim_dirty or any(inner_dirty):
+                writebacks.append(victim)
 
 
-def _apply(cache, op, line, dirty):
+def _apply(h, op, line, flag, reference):
+    if op == "access":
+        result = h.access(line, is_write=flag)
+        if reference:
+            return result
+        return (result.hit_level, result.memory_writebacks)
     if op == "fill":
-        return cache.fill(line, dirty)
+        return h.fill(line, flag, into_l1=line % 3 != 0)
     if op == "clear":
-        return cache.clear()
-    return getattr(cache, op)(line)
+        return h.clear()
+    return getattr(h, op)(line)
 
 
-def _assert_same_state(cache, reference):
-    assert cache.hits == reference.hits
-    assert cache.misses == reference.misses
-    assert cache.resident_lines == reference.resident_lines
-    assert cache.dirty_lines() == reference.dirty_lines()
+def _sets(level):
+    """Every set's (line, dirty) pairs in LRU order, by set index."""
+    if isinstance(level, EagerReferenceCache):
+        return [list(s.items()) for s in level.sets]
+    return [list(level.sets.get(index, {}).items()) for index in range(level.n_sets)]
+
+
+#: (n_sets, ways) of L1, L2, L3; one-way and one-set levels reach every
+#: cascade, including an LLC eviction of the line being filled.
+GEOMETRIES = (
+    ((1, 1), (1, 1), (1, 2)),
+    ((2, 1), (2, 2), (4, 2)),
+    ((1, 2), (2, 2), (2, 3)),
+    ((2, 2), (4, 2), (4, 4)),
+)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n_sets=st.integers(1, 4),
-    ways=st.integers(1, 3),
+    geometry=st.sampled_from(GEOMETRIES),
     ops=st.lists(
-        st.tuples(st.sampled_from(CACHE_OPS), st.integers(0, 23), st.booleans()),
+        st.tuples(st.sampled_from(("access", "fill", "invalidate", "clean", "contains",
+                                   "clear")),
+                  st.integers(0, 23), st.booleans()),
         min_size=10,
         max_size=120,
     ),
 )
-def test_lazy_sets_match_eager_reference(n_sets, ways, ops):
-    """Sets created on first touch behave exactly like a pre-built list."""
-    cache = SetAssociativeCache(CacheLevelConfig("t", n_sets * ways * 64, ways, 1.0))
-    reference = EagerReferenceCache(n_sets, ways)
-    for op, line, dirty in ops:
-        assert _apply(cache, op, line, dirty) == _apply(reference, op, line, dirty)
-        _assert_same_state(cache, reference)
+def test_lazy_sets_match_eager_reference(geometry, ops):
+    """The one-frame hierarchy makes exactly the per-level policy's moves.
+
+    Its sets are created on first touch, the reference's are built up
+    front; results, every set's LRU order and every dirty flag agree
+    after each operation.
+    """
+    levels = [CacheLevelConfig(name, n_sets * ways * 64, ways, 1.0)
+              for name, (n_sets, ways) in zip(("L1", "L2", "L3"), geometry)]
+    h = CacheHierarchy(CacheHierarchyConfig(*levels))
+    reference = ReferenceHierarchy(geometry)
+    for op, line, flag in ops:
+        assert _apply(h, op, line, flag, False) == _apply(reference, op, line, flag, True)
+        for level, ref_level in zip((h.l1, h.l2, h.l3), reference.levels):
+            assert _sets(level) == _sets(ref_level)
 
 
 def test_dirty_lines_in_set_index_order():
     # Sets touched in descending order still report in ascending set order.
     cache = small_cache(size=4 * 2 * 64, ways=2)  # 4 sets
     for line in (7, 3, 6, 2, 5, 1, 4, 0):
-        cache.fill(line, dirty=True)
+        cache.sets[line % cache.n_sets][line] = True
     assert cache.dirty_lines() == [4, 0, 5, 1, 6, 2, 7, 3]
 
 
 def test_queries_on_untouched_lines_create_no_sets():
-    cache = small_cache(size=4 * 2 * 64, ways=2)  # 4 sets
-    cache.fill(0, dirty=True)
+    h = one_level_hier(ways=2, sets=4)
+    h.fill(0, dirty=True)
     for line in (1, 2, 3):
-        assert not cache.probe(line)
-        assert cache.invalidate(line) == (False, False)
-        assert not cache.clean(line)
-        assert not cache.set_dirty(line)
-        assert not cache.is_dirty(line)
-    assert len(cache._sets) == 1
+        assert not h.contains(line)
+        assert not h.invalidate(line)
+        assert not h.clean(line)
+        assert not h.is_dirty(line)
+    assert [len(level.sets) for level in (h.l1, h.l2, h.l3)] == [1, 1, 1]
 
 
-def test_clear_empties_and_keeps_statistics():
-    cache = small_cache(size=4 * 2 * 64, ways=2)
+def test_clear_empties():
+    h = one_level_hier(ways=2, sets=4)
     for line in range(6):
-        cache.fill(line, dirty=line % 2 == 0)
-    cache.lookup(0)
-    cache.lookup(99)
-    cache.clear()
-    assert cache.resident_lines == 0
-    assert cache.dirty_lines() == []
-    assert not cache.probe(0)
-    assert (cache.hits, cache.misses) == (1, 1)
-    cache.fill(0, dirty=True)
-    assert cache.dirty_lines() == [0]
+        h.fill(line, dirty=line % 2 == 0)
+    h.clear()
+    assert h.l1.resident_lines == h.l3.resident_lines == 0
+    assert h.dirty_lines() == set()
+    assert not h.contains(0)
+    h.fill(0, dirty=True)
+    assert h.dirty_lines() == {0}
 
 
 def hier():
@@ -293,20 +383,20 @@ class TestHierarchy:
     def test_fill_is_inclusive(self):
         h = hier()
         h.fill(1)
-        assert h.l1.probe(1) and h.l2.probe(1) and h.l3.probe(1)
+        assert holds(h.l1, 1) and holds(h.l2, 1) and holds(h.l3, 1)
 
     def test_fill_skip_l1(self):
         h = hier()
         h.fill(1, into_l1=False)
-        assert not h.l1.probe(1)
-        assert h.l2.probe(1)
+        assert not holds(h.l1, 1)
+        assert holds(h.l2, 1)
 
     def test_l2_hit_promotes_to_l1(self):
         h = hier()
         h.fill(1, into_l1=False)
         result = h.access(1, is_write=False)
         assert result.hit_level == 2
-        assert h.l1.probe(1)
+        assert holds(h.l1, 1)
 
     def test_write_hit_marks_l1_dirty(self):
         h = hier()
@@ -333,9 +423,9 @@ class TestHierarchy:
         # Fill conflicting lines (same L3 set) to force line 0 out.
         for line in range(8, 8 * 30, 8):
             h.fill(line)
-        assert not h.l3.probe(0)
-        assert not h.l1.probe(0)
-        assert not h.l2.probe(0)
+        assert not holds(h.l3, 0)
+        assert not holds(h.l1, 0)
+        assert not holds(h.l2, 0)
 
     def test_dirty_llc_eviction_reported(self):
         h = tiny_hier()
@@ -353,7 +443,7 @@ class TestHierarchy:
         h.fill(0, dirty=True)
         h.fill(32)
         h.fill(64)  # evicts line 0 from L1
-        assert not h.l1.probe(0)
+        assert not holds(h.l1, 0)
         assert h.l2.is_dirty(0)
 
     def test_shrinking_levels_rejected(self):
@@ -397,9 +487,8 @@ class TestHierarchy:
                 l3=CacheLevelConfig("L3", 128, 2, 42.0),
             )
         )
-        h.l3.fill(1)
-        h.l3.fill(2, dirty=True)
-        h.l2.fill(3, dirty=True)
+        h.l3.sets[0].update({1: False, 2: True})
+        h.l2.sets[0][3] = True
         result = h.access(1, is_write=False)
         assert (result.hit_level, result.latency) == (3, 42.0)
         assert result.memory_writebacks == (2,)

@@ -60,8 +60,7 @@ def test_core_ops_are_the_public_core_surface():
         name for name, value in vars(Core).items()
         if callable(value) and not name.startswith("_")
     }
-    bookkeeping = {"note_acceptance", "note_flush", "forget_flush", "window_contains"}
-    assert public - bookkeeping == set(CORE_OPS)
+    assert public == set(CORE_OPS)
     assert set(OP_CLASSES) == set(CORE_OPS) - {"fence", "persist"}
 
 

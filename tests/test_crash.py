@@ -145,7 +145,7 @@ class TestCrashReportDetails:
             core.clwb(addr + offset, 64)
         core.sfence()
         CrashSimulator(machine).power_failure(core.now)
-        for region in machine._regions:
+        for region in machine.regions:
             for channel in region.channels:
                 assert channel.wpq_occupancy(0.0) == 0
                 assert channel.inflight.completion_for(cacheline_index(addr), 0.0) is None

@@ -137,8 +137,8 @@ class TestOptaneWritePath:
         dimm.read_line(0.0, 0)
         dimm.ingest_write(1000.0, 64)
         assert counters.rmw_avoided == 1
-        assert not dimm.read_buffer.contains(0)
-        assert dimm.write_buffer.contains(0)
+        assert 0 not in dimm.read_buffer.entries
+        assert 0 in dimm.write_buffer.entries
         # The adopted line can now serve reads for any slot.
         assert dimm.read_line(2000.0, 128).source == "write-buffer"
 

@@ -16,13 +16,33 @@ def quiet(generation=1, **kwargs):
     return maker(**kwargs)
 
 
+#: Core op -> (the core counter it bumps per line, the DIMM traffic one
+#: line of it makes, whether the line must be dirty first).
+STRADDLE_OPS = {
+    "load": ("loads", "imc_read_bytes", False),
+    "store": ("stores", "imc_read_bytes", False),  # the write-allocate read
+    "nt_store": ("stores", "imc_write_bytes", False),
+    "clwb": ("flushes", "imc_write_bytes", True),
+    "clflushopt": ("flushes", "imc_write_bytes", True),
+}
+
+
 class TestRangeOperations:
-    def test_load_spanning_two_lines(self):
+    @pytest.mark.parametrize("offset, lines", [(56, 1), (60, 2)])
+    @pytest.mark.parametrize("op", list(STRADDLE_OPS))
+    def test_op_spanning_two_lines(self, op, offset, lines):
+        """8 B at line offset 56 is one line's op; at offset 60 it is two."""
+        counter, traffic, dirty_first = STRADDLE_OPS[op]
         machine = quiet()
         core = machine.new_core()
-        base = machine.region_spec("pm").base
-        core.load(base + CACHELINE_SIZE - 4, 8)  # straddles a boundary
-        assert core.loads == 2
+        addr = machine.region_spec("pm").base + offset
+        if dirty_first:
+            core.store(addr, 8)
+        before = getattr(core, counter)
+        with machine.measure("pm") as delta:
+            getattr(core, op)(addr, 8)
+        assert getattr(core, counter) - before == lines
+        assert getattr(delta, traffic) == lines * CACHELINE_SIZE
 
     def test_load_spanning_xpline_boundary(self):
         machine = quiet()

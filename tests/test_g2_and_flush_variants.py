@@ -105,9 +105,9 @@ class TestWindowEdgeCases:
         core.store(addr, 8)
         core.clwb(addr)
         core.sfence()
-        assert core.window_contains(cacheline_index(addr))
+        assert cacheline_index(addr) in core.recent_flushes
         core.mfence()
-        assert not core.window_contains(cacheline_index(addr))
+        assert cacheline_index(addr) not in core.recent_flushes
 
     def test_window_is_bounded(self):
         machine = quiet(1)
@@ -121,7 +121,7 @@ class TestWindowEdgeCases:
             lines.append(cacheline_index(addr))
         core.sfence()
         # Only the last `window` (=2) flushes remain overtakable.
-        assert not core.window_contains(lines[0])
-        assert not core.window_contains(lines[1])
-        assert core.window_contains(lines[2])
-        assert core.window_contains(lines[3])
+        assert lines[0] not in core.recent_flushes
+        assert lines[1] not in core.recent_flushes
+        assert lines[2] in core.recent_flushes
+        assert lines[3] in core.recent_flushes

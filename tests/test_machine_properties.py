@@ -89,7 +89,7 @@ def test_with_prefetchers_demand_still_bounded(program):
 def test_buffer_capacities_respected(program):
     machine = g1_machine(prefetchers=PrefetcherConfig.none())
     _run_program(machine, program)
-    for region in machine._regions:
+    for region in machine.regions:
         if region.spec.kind != "pm":
             continue
         for channel in region.channels:

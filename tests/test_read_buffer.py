@@ -13,23 +13,29 @@ def make(capacity_xplines=4):
     return ReadBuffer(capacity_xplines * 256)
 
 
+def servable(buffer, xpline, slot):
+    """True if a read of ``slot`` in ``xpline`` would hit the buffer."""
+    consumed = buffer.entries.get(xpline)
+    return consumed is not None and not consumed & (1 << slot)
+
+
 class TestInstall:
     def test_install_makes_servable(self):
         buffer = make()
         buffer.install(10)
-        assert buffer.servable(10, 0)
-        assert buffer.servable(10, 3)
+        assert servable(buffer, 10, 0)
+        assert servable(buffer, 10, 3)
 
     def test_install_with_consumed_slot(self):
         buffer = make()
         buffer.install(10, consumed_slots=(1,))
-        assert not buffer.servable(10, 1)
-        assert buffer.servable(10, 0)
+        assert not servable(buffer, 10, 1)
+        assert servable(buffer, 10, 0)
 
     def test_install_all_slots_consumed_drops_entry(self):
         buffer = make()
         buffer.install(10, consumed_slots=(0, 1, 2, 3))
-        assert not buffer.contains(10)
+        assert 10 not in buffer.entries
 
     def test_fifo_eviction_order(self):
         buffer = make(capacity_xplines=2)
@@ -37,9 +43,9 @@ class TestInstall:
         buffer.install(2)
         evicted = buffer.install(3)
         assert evicted == 1
-        assert not buffer.contains(1)
-        assert buffer.contains(2)
-        assert buffer.contains(3)
+        assert 1 not in buffer.entries
+        assert 2 in buffer.entries
+        assert 3 in buffer.entries
 
     def test_hit_does_not_refresh_fifo_position(self):
         buffer = make(capacity_xplines=2)
@@ -53,8 +59,8 @@ class TestInstall:
         buffer = make()
         buffer.install(10, consumed_slots=(0,))
         buffer.install(10, consumed_slots=(1,))
-        assert buffer.servable(10, 0)
-        assert not buffer.servable(10, 1)
+        assert servable(buffer, 10, 0)
+        assert not servable(buffer, 10, 1)
 
     def test_capacity_below_one_xpline_rejected(self):
         with pytest.raises(ConfigError):
@@ -76,7 +82,7 @@ class TestDeliver:
         buffer.install(10)
         for slot in range(4):
             assert buffer.deliver(10, slot)
-        assert not buffer.contains(10)
+        assert 10 not in buffer.entries
 
     def test_unconsumed_slot_count(self):
         buffer = make()
@@ -90,7 +96,7 @@ class TestTake:
         buffer = make()
         buffer.install(10)
         assert buffer.take(10)
-        assert not buffer.contains(10)
+        assert 10 not in buffer.entries
 
     def test_take_absent_returns_false(self):
         assert make().take(10) is False
@@ -141,4 +147,4 @@ def test_installed_line_servable_until_consumed_or_evicted(xplines):
     for xpline in xplines:
         buffer.install(xpline)
         # The just-installed line is always fully servable.
-        assert all(buffer.servable(xpline, slot) for slot in range(4))
+        assert all(servable(buffer, xpline, slot) for slot in range(4))

@@ -27,29 +27,29 @@ def period(monkeypatch):
 class TestBasicWrites:
     def test_first_write_is_miss(self):
         buffer = make()
-        assert not buffer.contains(10)
+        assert 10 not in buffer.entries
         buffer.write(0.0, 10, 0)
-        assert buffer.contains(10)
+        assert 10 in buffer.entries
 
     def test_second_write_same_xpline_is_hit(self):
         buffer = make()
         buffer.write(0.0, 10, 0)
-        assert buffer.contains(10)
+        assert 10 in buffer.entries
         assert buffer.write(1.0, 10, 1) == ()
-        assert buffer.entry(10).dirty_mask == 0b0011
+        assert buffer.entries[10].dirty_mask == 0b0011
 
     def test_dirty_and_present_masks(self):
         buffer = make()
         buffer.write(0.0, 10, 2)
-        entry = buffer.entry(10)
+        entry = buffer.entries[10]
         assert entry.dirty_mask == 0b0100
         assert entry.present_mask == 0b0100
 
     def test_servable_only_for_present_slots(self):
         buffer = make()
         buffer.write(0.0, 10, 1)
-        assert buffer.entry(10).present_mask & (1 << 1)
-        assert not buffer.entry(10).present_mask & (1 << 0)
+        assert buffer.entries[10].present_mask & (1 << 1)
+        assert not buffer.entries[10].present_mask & (1 << 0)
 
     def test_rejects_tiny_capacity(self):
         with pytest.raises(ConfigError):
@@ -73,7 +73,7 @@ class TestEviction:
             buffer.write(0.0, 2, 0)
             writebacks = buffer.write(0.0, 3, 0)
             assert writebacks[-1].xpline in (1, 2)
-            assert buffer.contains(3)
+            assert 3 in buffer.entries
 
     def test_partial_eviction_needs_underfill(self):
         buffer = make(capacity_xplines=1, periodic=False)
@@ -110,14 +110,14 @@ class TestPeriodicWriteback:
         assert len(due) == 1
         assert due[0].reason == "periodic"
         assert not due[0].needs_underfill_read
-        assert not buffer.contains(1)
+        assert 1 not in buffer.entries
 
     def test_partial_line_never_periodically_written(self, period):
         period(1000.0)
         buffer = make()
         buffer.write(0.0, 1, 0)
         assert buffer.poll(10_000.0) == ()
-        assert buffer.contains(1)
+        assert 1 in buffer.entries
 
     def test_disabled_periodic_writeback(self, period):
         period(1000.0)
@@ -125,7 +125,7 @@ class TestPeriodicWriteback:
         for slot in range(4):
             buffer.write(0.0, 1, slot)
         assert buffer.poll(10_000.0) == ()
-        assert buffer.contains(1)
+        assert 1 in buffer.entries
 
     def test_rewrite_of_fully_dirty_line_flushes_old_version(self, period):
         # G1 semantics: writing a fully dirty XPLine again drains the
@@ -134,21 +134,21 @@ class TestPeriodicWriteback:
         buffer = make()
         for slot in range(4):
             buffer.write(0.0, 1, slot)
-        assert buffer.contains(1)
+        assert 1 in buffer.entries
         writebacks = buffer.write(1.0, 1, 0)
         rewrites = [w for w in writebacks if w.reason == "rewrite"]
         assert len(rewrites) == 1
-        assert buffer.contains(1)  # fresh version resident
-        assert buffer.entry(1).dirty_mask == 0b0001
+        assert 1 in buffer.entries  # fresh version resident
+        assert buffer.entries[1].dirty_mask == 0b0001
 
     def test_rewrite_without_periodic_mode_coalesces(self):
         buffer = make(periodic=False)
         for slot in range(4):
             buffer.write(0.0, 1, slot)
-        assert buffer.contains(1)
+        assert 1 in buffer.entries
         writebacks = buffer.write(1.0, 1, 0)
         assert writebacks == ()
-        assert buffer.entry(1).dirty_mask == 0b1111
+        assert buffer.entries[1].dirty_mask == 0b1111
 
     # The due-time bound lets polls skip the scan; it must not change
     # which lines leave, in what order, or when.
@@ -192,7 +192,7 @@ class TestTransition:
     def test_adopted_line_fully_present(self):
         buffer = make()
         assert buffer.adopt_from_read_buffer(0.0, 7, 2) == ()
-        entry = buffer.entry(7)
+        entry = buffer.entries[7]
         assert entry.present_mask == 0b1111
         assert entry.dirty_mask == 0b0100
 
@@ -239,6 +239,6 @@ def test_dirty_implies_present(writes):
     buffer = make(capacity_xplines=4, periodic=False)
     for xpline, slot in writes:
         buffer.write(0.0, xpline, slot)
-        entry = buffer.entry(xpline)
+        entry = buffer.entries[xpline]
         if entry is not None:
             assert entry.dirty_mask & ~entry.present_mask == 0
