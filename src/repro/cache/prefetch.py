@@ -74,146 +74,105 @@ class PrefetcherConfig:
         )
 
 
-def _page_of(line: int) -> int:
-    return line // LINES_PER_PAGE
-
-
-def _page_end(line: int) -> int:
-    """Last line index (inclusive) of the page containing ``line``."""
-    return (_page_of(line) + 1) * LINES_PER_PAGE - 1
-
-
-class DcuPrefetcher:
-    """L1 next-line prefetcher: ascending pair → fetch line+1."""
-
-    def __init__(self) -> None:
-        self._last_line: OrderedDict[int, int] = OrderedDict()
-
-    def observe(self, line: int, hit_level: int | None) -> list[int]:
-        """Feed one access; returns prefetch candidates (DCU next-line)."""
-        page = _page_of(line)
-        previous = self._last_line.get(page)
-        self._last_line[page] = line
-        self._last_line.move_to_end(page)
-        if len(self._last_line) > TABLE_ENTRIES:
-            self._last_line.popitem(last=False)
-        if previous is not None and line == previous + 1 and line + 1 <= _page_end(line):
-            return [line + 1]
-        return []
-
-    def reset(self) -> None:
-        """Forget all page-local history."""
-        self._last_line.clear()
-
-
-class AdjacentLinePrefetcher:
-    """L2 spatial prefetcher: demand miss → fetch the next two lines."""
-
-    def observe(self, line: int, hit_level: int | None) -> list[int]:
-        """Feed one access; L2-visible misses fetch the next two lines."""
-        if hit_level == 1:
-            return []  # invisible to L2
-        end = _page_end(line)
-        return [candidate for candidate in (line + 1, line + 2) if candidate <= end]
-
-    def reset(self) -> None:
-        """Stateless."""
-
-
-@dataclass
-class _StreamEntry:
-    last_line: int
-    confidence: int = 0
-    active: bool = False
-    frontier: int = -1
-
-
-class StreamPrefetcher:
-    """L2 hardware streamer with training, frontier and page locality."""
-
-    def __init__(self, rng: DeterministicRng) -> None:
-        self._rng = rng
-        self._streams: OrderedDict[int, _StreamEntry] = OrderedDict()
-
-    def observe(self, line: int, hit_level: int | None) -> list[int]:
-        """Feed one access; trained streams prefetch up to the frontier."""
-        if hit_level == 1:
-            return []  # L1 hits are invisible to the L2 streamer
-        page = _page_of(line)
-        entry = self._streams.get(page)
-        if entry is None:
-            entry = _StreamEntry(last_line=line)
-            self._streams[page] = entry
-            self._streams.move_to_end(page)
-            if len(self._streams) > TABLE_ENTRIES:
-                self._streams.popitem(last=False)
-            return []
-        self._streams.move_to_end(page)
-
-        delta = line - entry.last_line
-        ascending = 0 < delta <= STREAMER_WINDOW
-        entry.last_line = line
-        if ascending:
-            entry.confidence += 1
-        elif delta != 0:
-            entry.confidence = 0
-            entry.active = False
-            entry.frontier = -1
-            return []
-        else:
-            return []
-
-        if not entry.active:
-            if entry.confidence < STREAMER_TRAIN_THRESHOLD:
-                return []
-            # Trained; lock on probabilistically (detector sensitivity).
-            if self._rng.random() >= STREAMER_FIRE_PROBABILITY:
-                return []
-            entry.active = True
-            entry.frontier = line
-
-        desired = min(line + STREAMER_DISTANCE, _page_end(line))
-        start = max(entry.frontier, line) + 1
-        stop = min(desired, start + STREAMER_DEGREE - 1)
-        if start > stop:
-            return []
-        entry.frontier = stop
-        return list(range(start, stop + 1))
-
-    def reset(self) -> None:
-        """Forget all stream training state."""
-        self._streams.clear()
-
-
 class PrefetchEngine:
-    """Aggregates the enabled prefetchers behind one observe() call."""
+    """The enabled prefetchers behind one :meth:`observe` call.
+
+    The three units are written out in one frame (an access runs on
+    every demand load and store with prefetchers on): the DCU's
+    per-page last line, the adjacent-line flag and the streamer's
+    per-page entries are tables of this object.  The table sizes and
+    streamer constants are read from the module at call time.
+    """
 
     def __init__(self, config: PrefetcherConfig, rng: DeterministicRng) -> None:
         self.config = config
-        self._units: list = []
-        if config.dcu:
-            self._units.append(DcuPrefetcher())
-        if config.adjacent:
-            self._units.append(AdjacentLinePrefetcher())
-        if config.streamer:
-            self._units.append(StreamPrefetcher(rng))
+        self._rng = rng
+        #: DCU: page -> last line seen in it, in LRU order (None: off).
+        self._dcu_pages: OrderedDict[int, int] | None = OrderedDict() if config.dcu else None
+        self._adjacent = config.adjacent
+        #: Streamer: page -> [last line, confidence, active, frontier],
+        #: in LRU order (None: off).
+        self._streams: OrderedDict[int, list] | None = (
+            OrderedDict() if config.streamer else None
+        )
         #: True if at least one prefetcher is active.
-        self.enabled = bool(self._units)
+        self.enabled = config.dcu or config.adjacent or config.streamer
 
     def observe(self, line: int, hit_level: int | None) -> list[int]:
-        """Feed one demand access; returns deduplicated candidates.
+        """Feed one demand access; returns the deduplicated candidates.
 
-        At most a handful of candidates come back per access, so the
-        dedup is a scan of the short result list.
+        Candidates come in unit order (DCU, adjacent line, streamer),
+        each line once, none past the end of ``line``'s page.  L1 hits
+        train the DCU only: they are invisible to the L2 units.
         """
+        page = line // LINES_PER_PAGE
+        end = page * LINES_PER_PAGE + LINES_PER_PAGE - 1
         candidates: list[int] = []
-        for unit in self._units:
-            for candidate in unit.observe(line, hit_level):
-                if candidate != line and candidate not in candidates:
-                    candidates.append(candidate)
+        pages = self._dcu_pages
+        if pages is not None:
+            # Next-line on an ascending pair within the page.
+            previous = pages.pop(page, None)
+            pages[page] = line
+            if len(pages) > TABLE_ENTRIES:
+                pages.popitem(last=False)
+            if previous is not None and line == previous + 1 and line < end:
+                candidates.append(line + 1)
+        if hit_level == 1:
+            return candidates
+        if self._adjacent and line < end:
+            # Demand miss at L2: the next two lines.
+            if not candidates:
+                candidates.append(line + 1)
+            if line + 1 < end:
+                candidates.append(line + 2)
+        streams = self._streams
+        if streams is None:
+            return candidates
+        entry = streams.get(page)
+        if entry is None:
+            streams[page] = [line, 0, False, -1]
+            if len(streams) > TABLE_ENTRIES:
+                streams.popitem(last=False)
+            return candidates
+        streams.move_to_end(page)
+        delta = line - entry[0]
+        entry[0] = line
+        if 0 < delta <= STREAMER_WINDOW:
+            entry[1] += 1
+        elif delta:
+            # A jump back or past the window breaks the stream.
+            entry[1] = 0
+            entry[2] = False
+            entry[3] = -1
+            return candidates
+        else:
+            return candidates
+        if not entry[2]:
+            if entry[1] < STREAMER_TRAIN_THRESHOLD:
+                return candidates
+            # Trained; lock on probabilistically (detector sensitivity).
+            if self._rng.random() >= STREAMER_FIRE_PROBABILITY:
+                return candidates
+            entry[2] = True
+            entry[3] = line
+        # Advance the frontier toward STREAMER_DISTANCE lines ahead.
+        start = (entry[3] if entry[3] > line else line) + 1
+        stop = line + STREAMER_DISTANCE
+        if stop > end:
+            stop = end
+        if stop > start + STREAMER_DEGREE - 1:
+            stop = start + STREAMER_DEGREE - 1
+        if start > stop:
+            return candidates
+        entry[3] = stop
+        for candidate in range(start, stop + 1):
+            if candidate not in candidates:
+                candidates.append(candidate)
         return candidates
 
     def reset(self) -> None:
         """Forget all training state."""
-        for unit in self._units:
-            unit.reset()
+        if self._dcu_pages is not None:
+            self._dcu_pages.clear()
+        if self._streams is not None:
+            self._streams.clear()

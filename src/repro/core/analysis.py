@@ -26,29 +26,32 @@ class InstrumentedCore(CoreProxy):
     :data:`~repro.datastores.base.OP_CLASSES` bucket (``load``,
     ``store``, ``flush``, ``fence``, ``nt_store``, ``stream_load``,
     ``compute``); ``persist`` is charged as its ``flush`` and ``fence``.
-    Inside a ``with instrumented.phase("segment-metadata"):`` block the
-    phase label is used instead, so data structures can mark their
-    semantically interesting regions.
+    While :attr:`phase_label` is set, it is used instead, so data
+    structures can mark their semantically interesting regions: either
+    by assigning the label directly (the CCEH operations do, and restore
+    it on exit) or inside a ``with instrumented.phase("indexing"):``
+    block, which sets the same label and restores the outer one.
     """
 
     def __init__(self, core: Core) -> None:
         super().__init__(core)
         self.breakdown = TimeBreakdown()
-        self._phase: str | None = None
+        #: The bucket charged instead of the op's own (None: the op's).
+        self.phase_label: str | None = None
 
     @contextmanager
     def phase(self, label: str):
         """Attribute cycles spent inside the block to ``label``."""
-        previous = self._phase
-        self._phase = label
+        previous = self.phase_label
+        self.phase_label = label
         try:
             yield self
         finally:
-            self._phase = previous
+            self.phase_label = previous
 
     def observe(self, op: str, addr: int, size: int, cycles: float) -> None:
         """Charge ``cycles`` to the current phase or the op's bucket."""
-        self.breakdown.charge(self._phase or OP_CLASSES[op].bucket, cycles)
+        self.breakdown.charge(self.phase_label or OP_CLASSES[op].bucket, cycles)
 
 
 def read_write_summary(breakdown: TimeBreakdown) -> dict[str, float]:

@@ -8,14 +8,13 @@ per-segment local depths, and directory doubling.
 Every operation issues the memory traffic the real structure would:
 key insertion performs the paper's three random reads — directory
 entry, segment metadata, bucket(s) — followed by a 16-byte store and a
-persistence barrier (clwb + fence, as CCEH does).  Cores mark the
-Table-1 phases via the optional ``phase`` context of
-:class:`~repro.core.analysis.InstrumentedCore`.
+persistence barrier (clwb + fence, as CCEH does).  Operations mark the
+Table-1 phases on the ``phase_label`` of a core that has one
+(:class:`~repro.core.analysis.InstrumentedCore`).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
@@ -24,6 +23,8 @@ from repro.datastores.base import CoreLike, NullCore
 from repro.datastores.cceh.segment import (
     BUCKET_SLOTS,
     PAIR_SIZE,
+    PROBE_DISTANCE,
+    SEGMENT_BUCKETS,
     SEGMENT_BYTES,
     Segment,
 )
@@ -39,11 +40,6 @@ _COMPARE_COST = 2.0
 _HASH_BITS = 64
 _BUCKET_SHIFT = 8  # bits used for the in-segment bucket index
 _BUCKET_MASK = 0xFF
-
-
-def _phase(core: CoreLike, label: str):
-    enter = getattr(core, "phase", None)
-    return enter(label) if enter is not None else nullcontext()
 
 
 @dataclass
@@ -90,16 +86,6 @@ class CcehHashTable:
         self._segments.append(segment)
         return segment
 
-    def _dir_entry_addr(self, index: int) -> int:
-        return self._directory_addr + index * 8
-
-    def _dir_index(self, hashed: int) -> int:
-        return hashed >> (_HASH_BITS - self.global_depth)
-
-    @staticmethod
-    def _bucket_index(hashed: int) -> int:
-        return (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
-
     @property
     def directory_size(self) -> int:
         """Number of directory entries (2^global_depth)."""
@@ -119,86 +105,120 @@ class CcehHashTable:
         return self.stats.inserts - self.stats.removes
 
     # -- operations ----------------------------------------------------------------
+    #
+    # Each operation is written out in one frame: the directory index
+    # (the top ``global_depth`` hash bits), the home bucket (hash bits
+    # 8-15), the probe window (``PROBE_DISTANCE`` buckets from home,
+    # wrapping within the segment) and the bucket and slot addresses
+    # are computed in place.  A core that attributes cycles to phases
+    # (``InstrumentedCore``) has a ``phase_label``; marking a phase on
+    # any other core costs one test of a local flag.
 
     def insert(self, key: int, value: int, core: CoreLike | None = None) -> None:
         """Insert or update ``key``; issues CCEH's full memory traffic."""
         core = core or NullCore()
-        hashed = fnv1a_64(key)
-        core.tick(_HASH_COST)
-        while True:
-            with _phase(core, "directory"):
+        load, tick = core.load, core.tick
+        phased = hasattr(core, "phase_label")
+        if phased:
+            outer = core.phase_label
+        try:
+            hashed = fnv1a_64(key)
+            tick(_HASH_COST)
+            home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
+            while True:
                 # The directory entry carries the segment pointer and its
                 # local depth (as in CCEH); it is small, hot, and caches well.
-                dir_index = self._dir_index(hashed)
-                core.load(self._dir_entry_addr(dir_index), 8)
+                if phased:
+                    core.phase_label = "directory"
+                dir_index = hashed >> (_HASH_BITS - self.global_depth)
+                load(self._directory_addr + dir_index * 8, 8)
                 segment = self._directory[dir_index]
-            home = self._bucket_index(hashed)
-            target_bucket = -1
-            target_slot = -1
-            is_update = False
-            first_probe = True
-            for bucket_index in segment.probe_buckets(home):
+                buckets = segment.buckets
+                first_bucket = segment.base_addr + CACHELINE_SIZE
                 # The first touch of the segment — "accessing segment
                 # metadata" in the paper's Table 1 — is the expensive
                 # random read straight from the 3D-XPoint media; further
                 # probes enjoy on-DIMM read-buffer locality.
-                with _phase(core, "segment" if first_probe else "bucket"):
-                    core.load(segment.bucket_addr(bucket_index), 8)
-                first_probe = False
-                self.stats.probe_steps += 1
-                bucket = segment.buckets[bucket_index]
-                with _phase(core, "bucket"):
+                if phased:
+                    core.phase_label = "segment"
+                target_bucket = target_slot = -1
+                is_update = False
+                for step in range(PROBE_DISTANCE):
+                    bucket_index = (home + step) % SEGMENT_BUCKETS
+                    load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
+                    if phased:
+                        core.phase_label = "bucket"
+                    self.stats.probe_steps += 1
+                    bucket = buckets[bucket_index]
                     for slot, (existing_key, _) in enumerate(bucket):
-                        core.tick(_COMPARE_COST)
+                        tick(_COMPARE_COST)
                         if existing_key == key:
                             target_bucket, target_slot = bucket_index, slot
                             is_update = True
                             break
-                if is_update:
+                    if is_update:
+                        break
+                    if target_bucket < 0 and len(bucket) < BUCKET_SLOTS:
+                        target_bucket = bucket_index
+                        target_slot = len(bucket)
+                        break
+                if target_bucket >= 0:
                     break
-                if target_bucket < 0 and len(bucket) < BUCKET_SLOTS:
-                    target_bucket = bucket_index
-                    target_slot = len(bucket)
-                    break
-            if target_bucket < 0:
+                if phased:
+                    core.phase_label = "split"
                 self._split(segment, core)
-                continue
-            with _phase(core, "persist"):
-                bucket = segment.buckets[target_bucket]
-                if is_update:
-                    bucket[target_slot] = (key, value)
-                    self.stats.updates += 1
-                else:
-                    bucket.append((key, value))
-                    self.stats.inserts += 1
-                core.store(segment.slot_addr(target_bucket, target_slot), PAIR_SIZE)
-                core.clwb(segment.bucket_addr(target_bucket))
-                core.fence(self._fence)
-            return
+            if phased:
+                core.phase_label = "persist"
+            bucket = buckets[target_bucket]
+            if is_update:
+                bucket[target_slot] = (key, value)
+                self.stats.updates += 1
+            else:
+                bucket.append((key, value))
+                self.stats.inserts += 1
+            bucket_addr = first_bucket + target_bucket * CACHELINE_SIZE
+            core.store(bucket_addr + target_slot * PAIR_SIZE, PAIR_SIZE)
+            core.clwb(bucket_addr)
+            core.fence(self._fence)
+        finally:
+            if phased:
+                core.phase_label = outer
 
     def get(self, key: int, core: CoreLike | None = None) -> int:
         """Look up ``key``; raises KeyNotFoundError when absent."""
         core = core or NullCore()
-        hashed = fnv1a_64(key)
-        core.tick(_HASH_COST)
-        self.stats.lookups += 1
-        with _phase(core, "directory"):
-            dir_index = self._dir_index(hashed)
-            core.load(self._dir_entry_addr(dir_index), 8)
+        load, tick = core.load, core.tick
+        phased = hasattr(core, "phase_label")
+        if phased:
+            outer = core.phase_label
+        try:
+            hashed = fnv1a_64(key)
+            tick(_HASH_COST)
+            self.stats.lookups += 1
+            if phased:
+                core.phase_label = "directory"
+            dir_index = hashed >> (_HASH_BITS - self.global_depth)
+            load(self._directory_addr + dir_index * 8, 8)
             segment = self._directory[dir_index]
-        home = self._bucket_index(hashed)
-        first_probe = True
-        for bucket_index in segment.probe_buckets(home):
-            with _phase(core, "segment" if first_probe else "bucket"):
-                core.load(segment.bucket_addr(bucket_index), 8)
-            first_probe = False
-            self.stats.probe_steps += 1
-            with _phase(core, "bucket"):
-                for existing_key, value in segment.buckets[bucket_index]:
-                    core.tick(_COMPARE_COST)
+            buckets = segment.buckets
+            first_bucket = segment.base_addr + CACHELINE_SIZE
+            home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
+            if phased:
+                core.phase_label = "segment"
+            for step in range(PROBE_DISTANCE):
+                bucket_index = (home + step) % SEGMENT_BUCKETS
+                load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
+                if phased:
+                    core.phase_label = "bucket"
+                self.stats.probe_steps += 1
+                for existing_key, value in buckets[bucket_index]:
+                    tick(_COMPARE_COST)
                     if existing_key == key:
                         return value
-        raise KeyNotFoundError(key)
+            raise KeyNotFoundError(key)
+        finally:
+            if phased:
+                core.phase_label = outer
 
     def contains(self, key: int, core: CoreLike | None = None) -> bool:
         """Membership test (lookup that swallows the miss)."""
@@ -211,21 +231,25 @@ class CcehHashTable:
     def remove(self, key: int, core: CoreLike | None = None) -> None:
         """Delete ``key``; raises KeyNotFoundError when absent."""
         core = core or NullCore()
+        load, tick = core.load, core.tick
         hashed = fnv1a_64(key)
-        core.tick(_HASH_COST)
-        dir_index = self._dir_index(hashed)
-        core.load(self._dir_entry_addr(dir_index), 8)
+        tick(_HASH_COST)
+        dir_index = hashed >> (_HASH_BITS - self.global_depth)
+        load(self._directory_addr + dir_index * 8, 8)
         segment = self._directory[dir_index]
-        home = self._bucket_index(hashed)
-        for bucket_index in segment.probe_buckets(home):
-            core.load(segment.bucket_addr(bucket_index), 8)
+        first_bucket = segment.base_addr + CACHELINE_SIZE
+        home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
+        for step in range(PROBE_DISTANCE):
+            bucket_index = (home + step) % SEGMENT_BUCKETS
+            bucket_addr = first_bucket + bucket_index * CACHELINE_SIZE
+            load(bucket_addr, 8)
             bucket = segment.buckets[bucket_index]
             for slot, (existing_key, _) in enumerate(bucket):
-                core.tick(_COMPARE_COST)
+                tick(_COMPARE_COST)
                 if existing_key == key:
                     bucket.pop(slot)
-                    core.store(segment.slot_addr(bucket_index, slot), PAIR_SIZE)
-                    core.clwb(segment.bucket_addr(bucket_index))
+                    core.store(bucket_addr + slot * PAIR_SIZE, PAIR_SIZE)
+                    core.clwb(bucket_addr)
                     core.fence(self._fence)
                     self.stats.removes += 1
                     return
@@ -243,66 +267,73 @@ class CcehHashTable:
         """
         hashed = fnv1a_64(key)
         core.tick(_HASH_COST)
-        dir_index = self._dir_index(hashed)
-        core.load(self._dir_entry_addr(dir_index), 8)
+        dir_index = hashed >> (_HASH_BITS - self.global_depth)
+        core.load(self._directory_addr + dir_index * 8, 8)
         segment = self._directory[dir_index]
-        core.load(segment.bucket_addr(self._bucket_index(hashed)), 8)
+        home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
+        core.load(segment.base_addr + CACHELINE_SIZE + home * CACHELINE_SIZE, 8)
 
     # -- resizing -------------------------------------------------------------------
 
     def _split(self, segment: Segment, core: CoreLike) -> None:
         """Split ``segment``; doubles the directory when depths collide."""
-        with _phase(core, "split"):
-            if segment.local_depth == self.global_depth:
-                self._double_directory(core)
-            self.stats.segment_splits += 1
-            new_depth = segment.local_depth + 1
-            sibling = self._new_segment(depth=new_depth)
-            segment.local_depth = new_depth
+        if segment.local_depth == self.global_depth:
+            self._double_directory(core)
+        self.stats.segment_splits += 1
+        new_depth = segment.local_depth + 1
+        sibling = self._new_segment(depth=new_depth)
+        segment.local_depth = new_depth
+        load, store, tick = core.load, core.store, core.tick
+        first_bucket = segment.base_addr + CACHELINE_SIZE
+        sibling_buckets = sibling.buckets
+        sibling_first = sibling.base_addr + CACHELINE_SIZE
 
-            # Redistribute pairs whose next depth bit is 1.
-            discriminant = _HASH_BITS - new_depth
-            for bucket_index, bucket in enumerate(segment.buckets):
-                if not bucket:
-                    continue
-                core.load(segment.bucket_addr(bucket_index), 8)
-                keep: list[tuple[int, int]] = []
-                for key, value in bucket:
-                    hashed = fnv1a_64(key)
-                    core.tick(_COMPARE_COST)
-                    if (hashed >> discriminant) & 1:
-                        target = self._bucket_index(hashed)
-                        moved = False
-                        for candidate in sibling.probe_buckets(target):
-                            if len(sibling.buckets[candidate]) < BUCKET_SLOTS:
-                                sibling.buckets[candidate].append((key, value))
-                                core.store(
-                                    sibling.slot_addr(candidate, len(sibling.buckets[candidate]) - 1),
-                                    PAIR_SIZE,
-                                )
-                                moved = True
-                                break
-                        if not moved:
-                            # Extremely unlikely; keep in place rather than
-                            # recursing mid-split.
-                            keep.append((key, value))
+        # Redistribute pairs whose next depth bit is 1.
+        discriminant = _HASH_BITS - new_depth
+        for bucket_index, bucket in enumerate(segment.buckets):
+            if not bucket:
+                continue
+            load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
+            keep: list[tuple[int, int]] = []
+            for key, value in bucket:
+                hashed = fnv1a_64(key)
+                tick(_COMPARE_COST)
+                if (hashed >> discriminant) & 1:
+                    home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
+                    for step in range(PROBE_DISTANCE):
+                        candidate = (home + step) % SEGMENT_BUCKETS
+                        moved_to = sibling_buckets[candidate]
+                        if len(moved_to) < BUCKET_SLOTS:
+                            moved_to.append((key, value))
+                            store(
+                                sibling_first + candidate * CACHELINE_SIZE
+                                + (len(moved_to) - 1) * PAIR_SIZE,
+                                PAIR_SIZE,
+                            )
+                            break
                     else:
+                        # Extremely unlikely; keep in place rather than
+                        # recursing mid-split.
                         keep.append((key, value))
-                segment.buckets[bucket_index] = keep
-            # Persist the sibling wholesale (streaming flush).
-            core.clwb(sibling.base_addr, SEGMENT_BYTES)
-            core.fence(self._fence)
+                else:
+                    keep.append((key, value))
+            segment.buckets[bucket_index] = keep
+        # Persist the sibling wholesale (streaming flush).
+        core.clwb(sibling.base_addr, SEGMENT_BYTES)
+        core.fence(self._fence)
 
-            # Repoint the directory entries that now map to the sibling.
-            prefix_bits = self.global_depth - new_depth
-            for dir_index in range(len(self._directory)):
-                if self._directory[dir_index] is segment:
-                    local_prefix = dir_index >> prefix_bits if prefix_bits >= 0 else dir_index
-                    if local_prefix & 1:
-                        self._directory[dir_index] = sibling
-                        core.store(self._dir_entry_addr(dir_index), 8)
-                        core.clwb(self._dir_entry_addr(dir_index))
-            core.fence(self._fence)
+        # Repoint the directory entries that now map to the sibling.
+        directory = self._directory
+        prefix_bits = self.global_depth - new_depth
+        for dir_index in range(len(directory)):
+            if directory[dir_index] is segment:
+                local_prefix = dir_index >> prefix_bits if prefix_bits >= 0 else dir_index
+                if local_prefix & 1:
+                    directory[dir_index] = sibling
+                    entry_addr = self._directory_addr + dir_index * 8
+                    store(entry_addr, 8)
+                    core.clwb(entry_addr)
+        core.fence(self._fence)
 
     def _double_directory(self, core: CoreLike) -> None:
         self.stats.directory_doublings += 1

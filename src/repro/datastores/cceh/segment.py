@@ -35,14 +35,6 @@ class Segment:
         default_factory=lambda: [[] for _ in range(SEGMENT_BUCKETS)]
     )
 
-    def bucket_addr(self, index: int) -> int:
-        """Address of bucket ``index``'s cacheline."""
-        return self.base_addr + CACHELINE_SIZE + index * CACHELINE_SIZE
-
-    def slot_addr(self, bucket_index: int, slot: int) -> int:
-        """Address of one 16-byte pair slot."""
-        return self.bucket_addr(bucket_index) + slot * PAIR_SIZE
-
     def pair_count(self) -> int:
         """Number of stored pairs (for load-factor accounting)."""
         return sum(len(bucket) for bucket in self.buckets)
@@ -51,7 +43,3 @@ class Segment:
     def load_factor(self) -> float:
         """Occupied fraction of the segment's slots."""
         return self.pair_count() / (SEGMENT_BUCKETS * BUCKET_SLOTS)
-
-    def probe_buckets(self, home: int) -> list[int]:
-        """The linear-probing window starting at bucket ``home``."""
-        return [(home + step) % SEGMENT_BUCKETS for step in range(PROBE_DISTANCE)]

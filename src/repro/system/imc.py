@@ -36,6 +36,8 @@ class WpqGrant:
     acceptance: Cycles
     #: When the flush is complete on the DIMM (RAP gate).
     persist_completion: Cycles
+    #: True if an earlier persist of the same line was still in flight.
+    reflush: bool
 
 
 class IMCChannel:
@@ -103,7 +105,7 @@ class IMCChannel:
             trace.counter("imc", "wpq", now, self.wpq_occupancy(now), self.name)
             if ready > now:
                 trace.span("imc", "wpq-full", now, ready, self.name, addr=addr)
-        return WpqGrant(ready, acceptance, response.persist_completion)
+        return WpqGrant(ready, acceptance, response.persist_completion, prior is not None)
 
     # -- maintenance ------------------------------------------------------------
 

@@ -351,8 +351,9 @@ class Machine:
                                addr=addr, source=response.source)
         prefetch = self.prefetch
         if prefetch.enabled:
-            for candidate in prefetch.observe(line, result.hit_level):
-                self._issue_prefetch(now, candidate)
+            candidates = prefetch.observe(line, result.hit_level)
+            if candidates:
+                self._issue_prefetches(now, candidates)
         return finish
 
     def demand_store(self, now: Cycles, addr: int, core: "Core") -> Cycles:
@@ -385,8 +386,9 @@ class Machine:
             finish = now + STORE_BUFFER_LATENCY
         prefetch = self.prefetch
         if prefetch.enabled:
-            for candidate in prefetch.observe(line, result.hit_level):
-                self._issue_prefetch(now, candidate)
+            candidates = prefetch.observe(line, result.hit_level)
+            if candidates:
+                self._issue_prefetches(now, candidates)
         return finish
 
     def stream_load(self, now: Cycles, addr: int) -> Cycles:
@@ -440,7 +442,6 @@ class Machine:
         if not region.base <= addr < region.end:
             region = self.region_of(addr)
         channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
-        was_inflight = channel.persist_stall(now, addr) is not None
         grant = channel.write(now, addr)
         acceptance = grant.acceptance
         if region.spec.remote:
@@ -452,7 +453,7 @@ class Machine:
             trace.span("persist", "drain", acceptance, grant.persist_completion,
                        core.name, addr=addr)
         if invalidate:
-            if was_inflight:
+            if grant.reflush:
                 # Re-flushing a line whose previous persist is still in
                 # flight: the cache has held no valid copy since that
                 # earlier flush, so a load can no longer overtake this
@@ -493,33 +494,43 @@ class Machine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _issue_prefetch(self, now: Cycles, line: int) -> None:
-        # Residency first: most candidates are already cached, and both
-        # checks are free of side effects.
-        if self.caches.contains(line):
-            return
-        addr = line * CACHELINE_SIZE
-        try:
-            region = self.region_of(addr)
-        except AddressError:
-            return
-        fill_done = self._inflight_fills.get(line)
-        if fill_done is not None and fill_done > now:
-            return
-        channel = region.channel_for(addr)
-        response = channel.read(now, addr, False)
-        finish = response.finish
-        if region.spec.remote:
-            finish += region.spec.remote_read_adder
-        writebacks = self.caches.fill(line, False, False)
-        if writebacks:
-            self._handle_llc_writebacks(writebacks, now)
-        self._inflight_fills[line] = finish
-        self.prefetch_issued += 1
-        if len(self._inflight_fills) > 65536:
-            self._inflight_fills = {
-                key: value for key, value in self._inflight_fills.items() if value > now
-            }
+    def _issue_prefetches(self, now: Cycles, lines: list[int]) -> None:
+        """Fill each prefetch candidate not cached or in flight into L2/L3."""
+        caches = self.caches
+        l1, l2, l3 = caches.l1, caches.l2, caches.l3
+        inflight = self._inflight_fills
+        for line in lines:
+            # Residency first: most candidates are already cached, and
+            # the set lookups are free of side effects.
+            if (
+                line in l3.sets.get(line % l3.n_sets, ())
+                or line in l2.sets.get(line % l2.n_sets, ())
+                or line in l1.sets.get(line % l1.n_sets, ())
+            ):
+                continue
+            addr = line * CACHELINE_SIZE
+            region = self._route
+            if not region.base <= addr < region.end:
+                try:
+                    region = self.region_of(addr)
+                except AddressError:
+                    continue
+            fill_done = inflight.get(line)
+            if fill_done is not None and fill_done > now:
+                continue
+            channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
+            finish = channel.read(now, addr, False).finish
+            if region.spec.remote:
+                finish += region.spec.remote_read_adder
+            writebacks = caches.fill(line, False, False)
+            if writebacks:
+                self._handle_llc_writebacks(writebacks, now)
+            inflight[line] = finish
+            self.prefetch_issued += 1
+            if len(inflight) > 65536:
+                inflight = self._inflight_fills = {
+                    key: value for key, value in inflight.items() if value > now
+                }
 
     def _handle_llc_writebacks(self, lines: tuple[int, ...], now: Cycles) -> None:
         for line in lines:

@@ -22,14 +22,16 @@ _FNV_PRIME = 0x100000001B3
 
 def fnv1a_64(value: int) -> int:
     """64-bit FNV-1a hash of an integer (YCSB's scrambling function)."""
-    data = value & 0xFFFFFFFFFFFFFFFF
-    result = _FNV_OFFSET
-    for _ in range(8):
-        octet = data & 0xFF
-        data >>= 8
-        result ^= octet
-        result = (result * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return result
+    # The eight byte rounds, low byte first, written out: this runs on
+    # every CCEH operation and for every key a segment split moves.
+    result = ((_FNV_OFFSET ^ (value & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    result = ((result ^ ((value >> 8) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    result = ((result ^ ((value >> 16) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    result = ((result ^ ((value >> 24) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    result = ((result ^ ((value >> 32) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    result = ((result ^ ((value >> 40) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    result = ((result ^ ((value >> 48) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return ((result ^ ((value >> 56) & 0xFF)) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
 
 
 class ZipfianGenerator:

@@ -14,8 +14,10 @@ from repro.datastores.cceh import (
     CcehHashTable,
     Segment,
 )
+from repro.datastores.base import NullCore
 from repro.persist.allocator import PmHeap
 from repro.system.presets import g1_machine
+from repro.workloads.zipf import fnv1a_64
 
 
 def make_table(initial_depth=2):
@@ -24,18 +26,49 @@ def make_table(initial_depth=2):
     return machine, CcehHashTable(heap.pm, initial_depth=initial_depth)
 
 
+class _LoadRecorder(NullCore):
+    """A cost-free core that records the address of every load."""
+
+    def __init__(self):
+        super().__init__()
+        self.addrs = []
+
+    def load(self, addr, size=8):
+        self.addrs.append(addr)
+        return 0.0
+
+
 class TestSegment:
     def test_geometry(self):
         assert SEGMENT_BYTES == 64 + SEGMENT_BUCKETS * 64
 
     def test_bucket_addresses_cacheline_aligned(self):
-        segment = Segment(base_addr=0, local_depth=1)
-        for index in (0, 1, 255):
-            assert segment.bucket_addr(index) % 64 == 0
+        # Every load after an insert's directory entry reads a bucket.
+        _, table = make_table()
+        for key in range(200):
+            core = _LoadRecorder()
+            table.insert(key, key, core)
+            assert len(core.addrs) >= 2
+            assert all(addr % 64 == 0 for addr in core.addrs[1:])
 
     def test_probe_window_wraps(self):
-        segment = Segment(base_addr=0, local_depth=1)
-        assert segment.probe_buckets(254) == [254, 255, 0, 1]
+        # Bucket 0 and bucket 255 of one segment full: a key homed at
+        # bucket 255 probes 255, then wraps to 0 and 1 in the same segment.
+        _, table = make_table()
+
+        def homed_at(bucket, count):
+            keys = (key for key in range(1_000_000)
+                    if fnv1a_64(key) >> 62 == 0 and (fnv1a_64(key) >> 8) & 0xFF == bucket)
+            return [next(keys) for _ in range(count)]
+
+        last = homed_at(SEGMENT_BUCKETS - 1, BUCKET_SLOTS + 1)
+        for key in homed_at(0, BUCKET_SLOTS) + last[:-1]:
+            table.insert(key, key)
+        core = _LoadRecorder()
+        table.insert(last[-1], 0, core)
+        bucket0 = core.addrs[1] - (SEGMENT_BUCKETS - 1) * 64
+        assert core.addrs[1:] == [bucket0 + (SEGMENT_BUCKETS - 1) * 64, bucket0, bucket0 + 64]
+        assert table.get(last[-1]) == 0
 
     def test_load_factor(self):
         segment = Segment(base_addr=0, local_depth=1)

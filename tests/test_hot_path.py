@@ -1,19 +1,24 @@
-"""Frame budget of the 64 B hot path.
+"""Frame budget of the simulated hot paths.
 
 Counts the Python ``call`` events (``sys.setprofile``) per simulated
-operation of one small G1 point of three paper kernels: strided reads
-with a clflushopt per load (Figure 2), the read-after-persist loop with
-clwb + mfence (Figure 7) and partial nt-store writes (Figure 3).  An
-operation is one load, store, flush, fence or nt-store, counted as the
-benchmark counts them.
+operation of one small G1 point each of three paper kernels with the
+prefetchers off: strided reads with a clflushopt per load (Figure 2),
+the read-after-persist loop with clwb + mfence (Figure 7) and partial
+nt-store writes (Figure 3).  An operation is one load, store, flush,
+fence or nt-store, counted as the benchmark counts them.  Two points
+run with the prefetchers on: a Figure 8 pointer chase (per chain step)
+and fresh-key CCEH inserts on a plain core (per insert, Figure 10).
 
-The budgets pin what the flattened path reaches: each op calls the
-layer boundaries (machine, iMC, cache hierarchy, DIMM, buffers, media,
-ports, in-flight persists) and the constructors of their result
-records, nothing in between.  A change that puts a helper back on the
-path fails here; one that takes more calls off should lower the pin.
+The budgets pin what the flattened paths reach: each op calls the
+layer boundaries (machine, iMC, cache hierarchy, prefetch engine, DIMM,
+buffers, media, ports, in-flight persists) and the constructors of
+their result records, nothing in between; an access with prefetch
+candidates makes one issue call for all of them.  A change that puts a
+helper back on a path fails here; one that takes more calls off should
+lower the pin.
 """
 
+import functools
 import gc
 import sys
 
@@ -21,40 +26,90 @@ import pytest
 
 from repro.cache.prefetch import PrefetcherConfig
 from repro.core import microbench
-from repro.persist.persistency import FenceKind, FlushKind
+from repro.core.microbench.pointer_chase import PointerChaseBench
+from repro.datastores.cceh import CcehHashTable
+from repro.persist.allocator import PmHeap
+from repro.persist.persistency import FenceKind, FlushKind, PersistencyModel
 from repro.system.presets import machine_for
+from repro.workloads.ycsb import insert_only_stream
 
 WSS = 8 * 1024
 XPLINES = WSS // 256
+CHASE_STEPS = 2_000
+CCEH_PREPOPULATE = 5_000
+CCEH_INSERTS = 500
 
-#: name -> (kernel, keyword arguments, simulated ops, pinned calls per op).
+
+def _kernel(kernel, **kwargs):
+    """A paper kernel on a fresh G1 machine with the prefetchers off."""
+    machine = machine_for(1, seed=1, prefetchers=PrefetcherConfig.none())
+    return functools.partial(kernel, machine, **kwargs)
+
+
+def _pointer_chase():
+    """Figure 8's G1 point at 1 MiB: random chain, clwb, strict, prefetchers on."""
+    bench = PointerChaseBench(machine_for(1, seed=1), 1 << 20, sequential=False)
+    return functools.partial(bench.run, "clwb", PersistencyModel.STRICT,
+                             max_ops=CHASE_STEPS, warmup_cap=CHASE_STEPS)
+
+
+def _cceh_inserts():
+    """Fresh-key inserts into a pre-populated one-DIMM G1 table, plain core."""
+    machine = machine_for(1, pm_dimms=1, seed=1)
+    table = CcehHashTable(PmHeap(machine).pm)
+    keys = list(insert_only_stream(CCEH_PREPOPULATE + CCEH_INSERTS, seed=5))
+    for key in keys[:CCEH_PREPOPULATE]:
+        table.insert(key, key)
+    core = machine.new_core()
+
+    def run():
+        for key in keys[CCEH_PREPOPULATE:]:
+            table.insert(key, key, core)
+
+    return run
+
+
+#: name -> (builder of the timed call, simulated ops, pinned calls per op).
 POINTS = {
     "strided_read": (
-        microbench.run_strided_read,
-        {"wss": WSS, "cachelines_per_xpline": 2, "cycles_over_region": 4},
+        lambda: _kernel(microbench.run_strided_read,
+                        wss=WSS, cachelines_per_xpline=2, cycles_over_region=4),
         2 * 4 * XPLINES * 2,  # one load + one clflushopt per address
         8.30,
     ),
     "rap_clwb_mfence": (
-        microbench.run_rap_iterations,
-        {"region": "pm", "flush": FlushKind.CLWB, "fence": FenceKind.MFENCE,
-         "distance": 3, "passes": 4},
+        lambda: _kernel(microbench.run_rap_iterations, region="pm", flush=FlushKind.CLWB,
+                        fence=FenceKind.MFENCE, distance=3, passes=4),
         4 * 64 * 4,  # store + clwb + mfence + load per iteration
-        7.59,
+        7.09,
     ),
     "write_amplification": (
-        microbench.run_write_amplification,
-        {"wss": WSS, "written_cachelines": 2, "passes": 4},
+        lambda: _kernel(microbench.run_write_amplification,
+                        wss=WSS, written_cachelines=2, passes=4),
         4 * XPLINES * 2,
         10.21,
+    ),
+    "pointer_chase_prefetch": (
+        _pointer_chase,
+        2 * CHASE_STEPS,  # warm-up + measured chain steps
+        66.99,
+    ),
+    "cceh_insert": (
+        _cceh_inserts,
+        CCEH_INSERTS,
+        85.31,
     ),
 }
 
 
 def calls_per_op(name: str) -> float:
-    """Python calls per simulated op of one kernel call on a fresh machine."""
-    kernel, kwargs, ops, _ = POINTS[name]
-    machine = machine_for(1, seed=1, prefetchers=PrefetcherConfig.none())
+    """Python calls per simulated op of one timed call on a fresh setup.
+
+    The timed call is a ``functools.partial`` where it can be, so the
+    count holds the kernel's own frames only.
+    """
+    build, ops, _ = POINTS[name]
+    timed = build()
     calls = 0
 
     def count(frame, event, arg):
@@ -70,7 +125,7 @@ def calls_per_op(name: str) -> float:
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        kernel(machine, **kwargs)
+        timed()
     finally:
         sys.setprofile(previous)
         if collecting:
@@ -80,4 +135,4 @@ def calls_per_op(name: str) -> float:
 
 @pytest.mark.parametrize("name", list(POINTS))
 def test_calls_per_op_within_pinned_budget(name):
-    assert calls_per_op(name) <= POINTS[name][3]
+    assert calls_per_op(name) <= POINTS[name][2]

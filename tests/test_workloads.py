@@ -1,5 +1,7 @@
 """Tests for access patterns, zipfian generators and the YCSB engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,24 @@ class TestZipf:
         assert fnv1a_64(12345) == fnv1a_64(12345)
         assert 0 <= fnv1a_64(12345) < 2**64
         assert fnv1a_64(1) != fnv1a_64(2)
+
+    def test_fnv_matches_the_byte_loop(self):
+        def looped(value):
+            data = value & 0xFFFFFFFFFFFFFFFF
+            result = 0xCBF29CE484222325
+            for _ in range(8):
+                result ^= data & 0xFF
+                data >>= 8
+                result = (result * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            return result
+
+        rng = random.Random(19)
+        values = [0, -1, 2**64 - 1, 2**64, -(2**63), 2**200 + 7]
+        while len(values) < 100_000:
+            bits = rng.choice((8, 32, 62, 64, 65, 100))
+            value = rng.getrandbits(bits)
+            values.append(-value if rng.random() < 0.25 else value)
+        assert [fnv1a_64(value) for value in values] == [looped(value) for value in values]
 
     def test_large_keyspace_constructs_fast(self):
         gen = ZipfianGenerator(16_000_000, DeterministicRng(1))
