@@ -95,15 +95,6 @@ class WriteBuffer:
     def __len__(self) -> int:
         return len(self.entries)
 
-    # -- key bookkeeping -------------------------------------------------
-
-    def _remove_key(self, xpline: int) -> None:
-        pos = self._key_pos.pop(xpline)
-        last = self._keys.pop()
-        if last != xpline:
-            self._keys[pos] = last
-            self._key_pos[last] = pos
-
     # -- queries ----------------------------------------------------------
 
     def resident_xplines(self) -> list[int]:
@@ -217,21 +208,47 @@ class WriteBuffer:
         return [self._pop(xpline, reason="periodic") for xpline in due]
 
     def _evict_random(self, exclude: int) -> Writeback:
+        """Evict a victim other than ``exclude`` (unless it is the only line).
+
+        Written out in one frame: the victim's entry and key slot are
+        removed in place, and the draw is ``random.Random.randrange(n)``'s
+        own (``_randbelow_with_getrandbits``: ``n.bit_length()`` random
+        bits, redrawn while out of range) on the buffer's stream.
+        """
+        keys = self._keys
+        n = len(keys)
         if self.eviction == "fifo":
             # Ablation mode: oldest entry first (dict preserves
             # insertion order).  Produces a hit-ratio cliff instead of
             # Figure 4's graceful decay.
             for victim in self.entries:
-                if victim != exclude or len(self._keys) == 1:
-                    return self._pop(victim, reason="evict")
-        while True:
-            victim = self._keys[self._rng.choice_index(len(self._keys))]
-            if victim != exclude or len(self._keys) == 1:
-                return self._pop(victim, reason="evict")
+                if victim != exclude or n == 1:
+                    break
+        else:
+            getrandbits = self._rng.getrandbits
+            bits = n.bit_length()
+            while True:
+                index = getrandbits(bits)
+                while index >= n:
+                    index = getrandbits(bits)
+                victim = keys[index]
+                if victim != exclude or n == 1:
+                    break
+        entry = self.entries.pop(victim)
+        pos = self._key_pos.pop(victim)
+        last = keys.pop()
+        if last != victim:
+            keys[pos] = last
+            self._key_pos[last] = pos
+        return Writeback(victim, entry.present_mask != FULL_XPLINE_MASK, "evict")
 
     def _pop(self, xpline: int, reason: str) -> Writeback:
         entry = self.entries.pop(xpline)
-        self._remove_key(xpline)
+        pos = self._key_pos.pop(xpline)
+        last = self._keys.pop()
+        if last != xpline:
+            self._keys[pos] = last
+            self._key_pos[last] = pos
         return Writeback(xpline, entry.present_mask != FULL_XPLINE_MASK, reason)
 
     def clear(self) -> None:

@@ -28,6 +28,9 @@ class DeterministicRng:
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
         self.seed = seed
         self._random = random.Random(seed)
+        #: ``k`` uniform random bits, ``random.Random.getrandbits`` of
+        #: this stream bound once: a hot path draws with no Python frame.
+        self.getrandbits = self._random.getrandbits
 
     def fork(self, stream: int) -> "DeterministicRng":
         """Return an independent RNG derived from this seed.

@@ -3,11 +3,13 @@
 The case studies need tables/trees far larger than the CPU caches
 (otherwise the random reads the paper studies would be cache hits).
 Building a 30+ MB structure through the timed simulation would
-dominate experiment runtime, so stores accept any object implementing
-the :class:`CoreLike` protocol and population uses :class:`NullCore`,
-which mutates structure state at zero simulated cost.  Measured phases
-then run with a real :class:`~repro.system.machine.Core`, or with a
-:class:`CoreProxy` subclass that observes every operation of one.
+dominate experiment runtime, so population is structure-only: a data
+store operation called with ``core=None`` changes the structure (same
+probe, placement, split and allocation code as a timed call) and makes
+no simulated-memory call at all.  Measured phases pass any object
+implementing the :class:`CoreLike` protocol: a real
+:class:`~repro.system.machine.Core`, or a :class:`CoreProxy` subclass
+that observes every operation of one.
 """
 
 from __future__ import annotations
@@ -31,54 +33,6 @@ class CoreLike(Protocol):
     def fence(self, kind: str = "sfence") -> float: ...  # pragma: no cover
 
     def tick(self, cycles: float) -> None: ...  # pragma: no cover
-
-
-class NullCore:
-    """A CoreLike whose operations cost nothing and touch nothing.
-
-    Used to pre-populate data stores: the Python-side structure state
-    (keys, values, layout) is built identically, but no simulated
-    memory traffic or time passes.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def load(self, addr: int, size: int = 8) -> float:
-        return 0.0
-
-    def store(self, addr: int, size: int = 8) -> float:
-        return 0.0
-
-    def nt_store(self, addr: int, size: int = 64) -> float:
-        return 0.0
-
-    def clwb(self, addr: int, size: int = 64) -> float:
-        return 0.0
-
-    def clflushopt(self, addr: int, size: int = 64) -> float:
-        return 0.0
-
-    def sfence(self) -> float:
-        return 0.0
-
-    def mfence(self) -> float:
-        return 0.0
-
-    def fence(self, kind: str = "sfence") -> float:
-        return 0.0
-
-    def clflush(self, addr: int, size: int = 64) -> float:
-        return 0.0
-
-    def stream_load(self, addr: int, size: int = 64) -> float:
-        return 0.0
-
-    def persist(self, addr: int, size: int = 64, fence: str = "sfence") -> float:
-        return 0.0
-
-    def tick(self, cycles: float) -> None:
-        pass
 
 
 class OpClass(NamedTuple):

@@ -18,11 +18,12 @@ PM write volume doubles.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.common.constants import XPLINE_SIZE
 from repro.common.errors import DataStoreError, KeyNotFoundError
-from repro.datastores.base import CoreLike, NullCore
+from repro.datastores.base import CoreLike
 from repro.datastores.btree.node import ENTRY_SIZE, NODE_BYTES, NODE_CAPACITY, Node
 from repro.persist.allocator import PmHeap
 from repro.persist.log import RedoLog
@@ -36,11 +37,9 @@ class BtreeStats:
     """Counters for experiments and tests."""
 
     inserts: int = 0
-    lookups: int = 0
     shifts: int = 0
     leaf_splits: int = 0
     internal_splits: int = 0
-    log_commits: int = 0
 
 
 class FastFairTree:
@@ -74,51 +73,60 @@ class FastFairTree:
         return self.stats.inserts
 
     # -- traversal ------------------------------------------------------------
+    #
+    # Every operation takes an optional core.  With one, it issues the
+    # structure's full memory traffic; without one (population), it
+    # changes only the structure: descents bisect ``node.keys``, and
+    # no load, store, flush, fence, tick or redo log is issued.  Both
+    # run the same routing, placement, split and allocation code.
 
-    def _descend(self, key: int, core: CoreLike) -> tuple[Node, list[Node]]:
+    def _descend(self, key: int, core: CoreLike | None) -> tuple[Node, list[Node]]:
         """Walk to the leaf for ``key``; returns (leaf, ancestor path)."""
         path: list[Node] = []
         node = self.root
         while not node.leaf:
+            if core is not None:
+                core.load(node.header_addr, 8)
+                for probe in node.binary_search_probes(key):
+                    core.load(node.entry_addr(probe), ENTRY_SIZE)
+            path.append(node)
+            node = node.children[bisect_right(node.keys, key)]
+        if core is not None:
             core.load(node.header_addr, 8)
             for probe in node.binary_search_probes(key):
                 core.load(node.entry_addr(probe), ENTRY_SIZE)
-            path.append(node)
-            node = node.child_for(key)
-        core.load(node.header_addr, 8)
-        for probe in node.binary_search_probes(key):
-            core.load(node.entry_addr(probe), ENTRY_SIZE)
         return node, path
 
     def get(self, key: int, core: CoreLike | None = None) -> int:
         """Point lookup; raises KeyNotFoundError when absent."""
-        core = core or NullCore()
-        core.tick(_OP_COST)
-        self.stats.lookups += 1
+        if core is not None:
+            core.tick(_OP_COST)
         leaf, _ = self._descend(key, core)
-        position = leaf.search_position(key)
+        position = bisect_left(leaf.keys, key)
         if position < leaf.count and leaf.keys[position] == key:
-            core.load(leaf.entry_addr(position), ENTRY_SIZE)
+            if core is not None:
+                core.load(leaf.entry_addr(position), ENTRY_SIZE)
             return leaf.values[position]
         raise KeyNotFoundError(key)
 
     def range_scan(self, start_key: int, count: int, core: CoreLike | None = None) -> list[tuple[int, int]]:
         """Collect up to ``count`` pairs with key >= start_key."""
-        core = core or NullCore()
-        core.tick(_OP_COST)
+        if core is not None:
+            core.tick(_OP_COST)
         leaf, _ = self._descend(start_key, core)
         out: list[tuple[int, int]] = []
-        position = leaf.search_position(start_key)
+        position = bisect_left(leaf.keys, start_key)
         node: Node | None = leaf
         while node is not None and len(out) < count:
             for index in range(position, node.count):
-                core.load(node.entry_addr(index), ENTRY_SIZE)
+                if core is not None:
+                    core.load(node.entry_addr(index), ENTRY_SIZE)
                 out.append((node.keys[index], node.values[index]))
                 if len(out) >= count:
                     break
             node = node.sibling
             position = 0
-            if node is not None:
+            if node is not None and core is not None:
                 core.load(node.header_addr, 8)
         return out
 
@@ -126,19 +134,24 @@ class FastFairTree:
 
     def insert(self, key: int, value: int, core: CoreLike | None = None) -> None:
         """Insert (or overwrite) ``key``."""
-        core = core or NullCore()
-        core.tick(_OP_COST)
+        if core is not None:
+            core.tick(_OP_COST)
         leaf, path = self._descend(key, core)
         if leaf.is_full:
             leaf = self._split_leaf(leaf, path, key, core)
-        position = leaf.search_position(key)
+        position = bisect_left(leaf.keys, key)
         if position < leaf.count and leaf.keys[position] == key:
             leaf.values[position] = value
-            core.store(leaf.entry_addr(position), ENTRY_SIZE)
-            core.clwb(leaf.entry_line(position))
-            core.fence(self.fence)
+            if core is not None:
+                core.store(leaf.entry_addr(position), ENTRY_SIZE)
+                core.clwb(leaf.entry_line(position))
+                core.fence(self.fence)
             return
-        if self.mode == "inplace":
+        self.stats.shifts += leaf.count - position
+        if core is None:
+            leaf.keys.insert(position, key)
+            leaf.values.insert(position, value)
+        elif self.mode == "inplace":
             self._insert_inplace(leaf, position, key, value, core)
         else:
             self._insert_redo(leaf, position, key, value, core)
@@ -154,16 +167,13 @@ class FastFairTree:
             core.store(leaf.entry_addr(index + 1), ENTRY_SIZE)
             core.clwb(leaf.entry_line(index + 1))
             core.fence(self.fence)
-            self.stats.shifts += 1
         leaf.keys.insert(position, key)
         leaf.values.insert(position, value)
         core.store(leaf.entry_addr(position), ENTRY_SIZE)
         core.clwb(leaf.entry_line(position))
         core.fence(self.fence)
         # Header (count) update + persist.
-        core.store(leaf.header_addr, 8)
-        core.clwb(leaf.header_addr)
-        core.fence(self.fence)
+        self._persist_header(leaf, core)
 
     def _insert_redo(self, leaf: Node, position: int, key: int, value: int, core: CoreLike) -> None:
         """Out-of-place: log shifts per cacheline, commit, write back."""
@@ -175,19 +185,15 @@ class FastFairTree:
             core.load(leaf.entry_addr(index), ENTRY_SIZE)
             log.append(leaf.entry_addr(index + 1), ENTRY_SIZE, fence=self.fence)
             touched_lines.add(leaf.entry_line(index + 1))
-            self.stats.shifts += 1
         log.append(leaf.entry_addr(position), ENTRY_SIZE, fence=self.fence)
         touched_lines.add(leaf.entry_line(position))
         # One commit per touched cacheline, as in the paper's Figure 11.
         for _ in touched_lines:
             log.commit(fence=self.fence)
-            self.stats.log_commits += 1
         leaf.keys.insert(position, key)
         leaf.values.insert(position, value)
         log.apply_and_reclaim(fence=self.fence)
-        core.store(leaf.header_addr, 8)
-        core.clwb(leaf.header_addr)
-        core.fence(self.fence)
+        self._persist_header(leaf, core)
 
     def remove(self, key: int, core: CoreLike | None = None) -> None:
         """Delete ``key`` (leaf-local, FAST & FAIR-style shift-left).
@@ -197,41 +203,51 @@ class FastFairTree:
         redo log in redo mode.  Underflowed leaves are left in place
         (lazy rebalancing, as FAST & FAIR does); invariants still hold.
         """
-        core = core or NullCore()
-        core.tick(_OP_COST)
+        if core is not None:
+            core.tick(_OP_COST)
         leaf, _ = self._descend(key, core)
-        position = leaf.search_position(key)
+        position = bisect_left(leaf.keys, key)
         if position >= leaf.count or leaf.keys[position] != key:
             raise KeyNotFoundError(key)
-        if self.mode == "inplace":
+        self.stats.shifts += leaf.count - position - 1
+        if core is not None and self.mode == "inplace":
             for index in range(position + 1, leaf.count):
                 core.load(leaf.entry_addr(index), ENTRY_SIZE)
                 core.store(leaf.entry_addr(index - 1), ENTRY_SIZE)
                 core.clwb(leaf.entry_line(index - 1))
                 core.fence(self.fence)
-                self.stats.shifts += 1
-        else:
+        elif core is not None:
             log = self._ensure_log(core)
             touched: set[int] = set()
             for index in range(position + 1, leaf.count):
                 core.load(leaf.entry_addr(index), ENTRY_SIZE)
                 log.append(leaf.entry_addr(index - 1), ENTRY_SIZE, fence=self.fence)
                 touched.add(leaf.entry_line(index - 1))
-                self.stats.shifts += 1
             for _ in touched:
                 log.commit(fence=self.fence)
-                self.stats.log_commits += 1
             log.apply_and_reclaim(fence=self.fence)
         leaf.keys.pop(position)
         leaf.values.pop(position)
-        core.store(leaf.header_addr, 8)
-        core.clwb(leaf.header_addr)
-        core.fence(self.fence)
+        self._persist_header(leaf, core)
         self.stats.inserts -= 1
 
     # -- splits ---------------------------------------------------------------------
 
-    def _split_leaf(self, leaf: Node, path: list[Node], key: int, core: CoreLike) -> Node:
+    def _persist_node(self, node: Node, core: CoreLike | None) -> None:
+        """Persist a new node wholesale (no-op without a core)."""
+        if core is not None:
+            core.store(node.base_addr, NODE_BYTES)
+            core.clwb(node.base_addr, NODE_BYTES)
+            core.fence(self.fence)
+
+    def _persist_header(self, node: Node, core: CoreLike | None) -> None:
+        """Persist a node's header cacheline (no-op without a core)."""
+        if core is not None:
+            core.store(node.header_addr, 8)
+            core.clwb(node.header_addr)
+            core.fence(self.fence)
+
+    def _split_leaf(self, leaf: Node, path: list[Node], key: int, core: CoreLike | None) -> Node:
         """Split a full leaf; returns the leaf that should receive ``key``."""
         self.stats.leaf_splits += 1
         right = self._new_node(leaf=True)
@@ -243,46 +259,38 @@ class FastFairTree:
         right.sibling = leaf.sibling
         leaf.sibling = right
         # Persist the new node wholesale, then the shrunken header.
-        core.store(right.base_addr, NODE_BYTES)
-        core.clwb(right.base_addr, NODE_BYTES)
-        core.fence(self.fence)
-        core.store(leaf.header_addr, 8)
-        core.clwb(leaf.header_addr)
-        core.fence(self.fence)
+        self._persist_node(right, core)
+        self._persist_header(leaf, core)
         separator = right.keys[0]
         self._insert_into_parent(leaf, separator, right, path, core)
         return right if key >= separator else leaf
 
     def _insert_into_parent(
-        self, left: Node, separator: int, right: Node, path: list[Node], core: CoreLike
+        self, left: Node, separator: int, right: Node, path: list[Node], core: CoreLike | None
     ) -> None:
         if not path:
             new_root = self._new_node(leaf=False)
             new_root.keys = [separator]
             new_root.children = [left, right]
-            core.store(new_root.base_addr, NODE_BYTES)
-            core.clwb(new_root.base_addr, NODE_BYTES)
-            core.fence(self.fence)
+            self._persist_node(new_root, core)
             self.root = new_root
             self.height += 1
             return
         parent = path[-1]
         if parent.is_full:
             parent = self._split_internal(parent, path[:-1], separator, core)
-        position = parent.search_position(separator)
+        position = bisect_left(parent.keys, separator)
         parent.keys.insert(position, separator)
         parent.children.insert(position + 1, right)
-        # Internal shifts persist like leaf shifts (same mode rules).
-        shift_count = parent.count - position
-        for offset in range(shift_count):
-            core.store(parent.entry_addr(position + offset), ENTRY_SIZE)
-            core.clwb(parent.entry_line(position + offset))
-            core.fence(self.fence)
-        core.store(parent.header_addr, 8)
-        core.clwb(parent.header_addr)
-        core.fence(self.fence)
+        if core is not None:
+            # Internal shifts persist like leaf shifts (same mode rules).
+            for offset in range(parent.count - position):
+                core.store(parent.entry_addr(position + offset), ENTRY_SIZE)
+                core.clwb(parent.entry_line(position + offset))
+                core.fence(self.fence)
+        self._persist_header(parent, core)
 
-    def _split_internal(self, node: Node, path: list[Node], key: int, core: CoreLike) -> Node:
+    def _split_internal(self, node: Node, path: list[Node], key: int, core: CoreLike | None) -> Node:
         self.stats.internal_splits += 1
         right = self._new_node(leaf=False)
         middle = node.count // 2
@@ -291,12 +299,8 @@ class FastFairTree:
         right.children = node.children[middle + 1 :]
         node.keys = node.keys[:middle]
         node.children = node.children[: middle + 1]
-        core.store(right.base_addr, NODE_BYTES)
-        core.clwb(right.base_addr, NODE_BYTES)
-        core.fence(self.fence)
-        core.store(node.header_addr, 8)
-        core.clwb(node.header_addr)
-        core.fence(self.fence)
+        self._persist_node(right, core)
+        self._persist_header(node, core)
         self._insert_into_parent(node, separator, right, path, core)
         return right if key >= separator else node
 

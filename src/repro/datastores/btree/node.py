@@ -56,17 +56,6 @@ class Node:
         """Cacheline base address holding entry ``index``."""
         return cacheline_base(self.entry_addr(index))
 
-    def search_position(self, key: int) -> int:
-        """Index of the first key >= ``key`` (binary search)."""
-        lo, hi = 0, self.count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def binary_search_probes(self, key: int) -> list[int]:
         """Entry indexes a binary search would touch (for load traffic)."""
         probes = []
@@ -79,10 +68,3 @@ class Node:
             else:
                 hi = mid
         return probes
-
-    def child_for(self, key: int) -> "Node":
-        """Route ``key`` to the correct child (internal nodes only)."""
-        position = self.search_position(key)
-        if position < self.count and self.keys[position] == key:
-            position += 1
-        return self.children[position]

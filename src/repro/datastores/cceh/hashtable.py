@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.errors import DataStoreError, KeyNotFoundError
-from repro.datastores.base import CoreLike, NullCore
+from repro.datastores.base import CoreLike
 from repro.datastores.cceh.segment import (
     BUCKET_SLOTS,
     PAIR_SIZE,
@@ -47,12 +47,10 @@ class CcehStats:
     """Operation counters for experiments and tests."""
 
     inserts: int = 0
-    lookups: int = 0
     updates: int = 0
     removes: int = 0
     segment_splits: int = 0
     directory_doublings: int = 0
-    probe_steps: int = 0
 
 
 class CcehHashTable:
@@ -113,52 +111,63 @@ class CcehHashTable:
     # are computed in place.  A core that attributes cycles to phases
     # (``InstrumentedCore``) has a ``phase_label``; marking a phase on
     # any other core costs one test of a local flag.
+    #
+    # Without a core (population) an operation changes only the
+    # structure: the same probe, placement and split code runs, and
+    # every load, store, flush, fence, tick and phase mark sits behind
+    # one test of the local ``timed``.  Each stored pair carries its
+    # hash as ``(key, value, hashed)``, so a split never rehashes.
 
     def insert(self, key: int, value: int, core: CoreLike | None = None) -> None:
-        """Insert or update ``key``; issues CCEH's full memory traffic."""
-        core = core or NullCore()
-        load, tick = core.load, core.tick
-        phased = hasattr(core, "phase_label")
-        if phased:
-            outer = core.phase_label
+        """Insert or update ``key``; with a core, issues CCEH's full memory traffic."""
+        hashed = fnv1a_64(key)
+        timed = core is not None
+        phased = timed and hasattr(core, "phase_label")
+        if timed:
+            load, tick = core.load, core.tick
+            if phased:
+                outer = core.phase_label
         try:
-            hashed = fnv1a_64(key)
-            tick(_HASH_COST)
+            if timed:
+                tick(_HASH_COST)
             home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
             while True:
-                # The directory entry carries the segment pointer and its
-                # local depth (as in CCEH); it is small, hot, and caches well.
-                if phased:
-                    core.phase_label = "directory"
                 dir_index = hashed >> (_HASH_BITS - self.global_depth)
-                load(self._directory_addr + dir_index * 8, 8)
                 segment = self._directory[dir_index]
                 buckets = segment.buckets
                 first_bucket = segment.base_addr + CACHELINE_SIZE
-                # The first touch of the segment — "accessing segment
-                # metadata" in the paper's Table 1 — is the expensive
-                # random read straight from the 3D-XPoint media; further
-                # probes enjoy on-DIMM read-buffer locality.
-                if phased:
-                    core.phase_label = "segment"
+                if timed:
+                    # The directory entry carries the segment pointer and
+                    # its local depth (as in CCEH); it is small, hot, and
+                    # caches well.  The first touch of the segment —
+                    # "accessing segment metadata" in the paper's Table 1
+                    # — is the expensive random read straight from the
+                    # 3D-XPoint media; further probes enjoy on-DIMM
+                    # read-buffer locality.
+                    if phased:
+                        core.phase_label = "directory"
+                    load(self._directory_addr + dir_index * 8, 8)
+                    if phased:
+                        core.phase_label = "segment"
                 target_bucket = target_slot = -1
                 is_update = False
                 for step in range(PROBE_DISTANCE):
                     bucket_index = (home + step) % SEGMENT_BUCKETS
-                    load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
-                    if phased:
-                        core.phase_label = "bucket"
-                    self.stats.probe_steps += 1
                     bucket = buckets[bucket_index]
-                    for slot, (existing_key, _) in enumerate(bucket):
-                        tick(_COMPARE_COST)
-                        if existing_key == key:
+                    if timed:
+                        load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
+                        if phased:
+                            core.phase_label = "bucket"
+                    for slot, pair in enumerate(bucket):
+                        if timed:
+                            tick(_COMPARE_COST)
+                        if pair[0] == key:
                             target_bucket, target_slot = bucket_index, slot
                             is_update = True
                             break
                     if is_update:
                         break
-                    if target_bucket < 0 and len(bucket) < BUCKET_SLOTS:
+                    if len(bucket) < BUCKET_SLOTS:
                         target_bucket = bucket_index
                         target_slot = len(bucket)
                         break
@@ -167,52 +176,55 @@ class CcehHashTable:
                 if phased:
                     core.phase_label = "split"
                 self._split(segment, core)
-            if phased:
-                core.phase_label = "persist"
             bucket = buckets[target_bucket]
             if is_update:
-                bucket[target_slot] = (key, value)
+                bucket[target_slot] = (key, value, hashed)
                 self.stats.updates += 1
             else:
-                bucket.append((key, value))
+                bucket.append((key, value, hashed))
                 self.stats.inserts += 1
-            bucket_addr = first_bucket + target_bucket * CACHELINE_SIZE
-            core.store(bucket_addr + target_slot * PAIR_SIZE, PAIR_SIZE)
-            core.clwb(bucket_addr)
-            core.fence(self._fence)
+            if timed:
+                if phased:
+                    core.phase_label = "persist"
+                bucket_addr = first_bucket + target_bucket * CACHELINE_SIZE
+                core.store(bucket_addr + target_slot * PAIR_SIZE, PAIR_SIZE)
+                core.clwb(bucket_addr)
+                core.fence(self._fence)
         finally:
             if phased:
                 core.phase_label = outer
 
     def get(self, key: int, core: CoreLike | None = None) -> int:
         """Look up ``key``; raises KeyNotFoundError when absent."""
-        core = core or NullCore()
-        load, tick = core.load, core.tick
-        phased = hasattr(core, "phase_label")
-        if phased:
-            outer = core.phase_label
-        try:
-            hashed = fnv1a_64(key)
-            tick(_HASH_COST)
-            self.stats.lookups += 1
+        hashed = fnv1a_64(key)
+        timed = core is not None
+        phased = timed and hasattr(core, "phase_label")
+        if timed:
+            load, tick = core.load, core.tick
             if phased:
-                core.phase_label = "directory"
+                outer = core.phase_label
+        try:
             dir_index = hashed >> (_HASH_BITS - self.global_depth)
-            load(self._directory_addr + dir_index * 8, 8)
             segment = self._directory[dir_index]
             buckets = segment.buckets
             first_bucket = segment.base_addr + CACHELINE_SIZE
             home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
-            if phased:
-                core.phase_label = "segment"
+            if timed:
+                tick(_HASH_COST)
+                if phased:
+                    core.phase_label = "directory"
+                load(self._directory_addr + dir_index * 8, 8)
+                if phased:
+                    core.phase_label = "segment"
             for step in range(PROBE_DISTANCE):
                 bucket_index = (home + step) % SEGMENT_BUCKETS
-                load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
-                if phased:
-                    core.phase_label = "bucket"
-                self.stats.probe_steps += 1
-                for existing_key, value in buckets[bucket_index]:
-                    tick(_COMPARE_COST)
+                if timed:
+                    load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
+                    if phased:
+                        core.phase_label = "bucket"
+                for existing_key, value, _ in buckets[bucket_index]:
+                    if timed:
+                        tick(_COMPARE_COST)
                     if existing_key == key:
                         return value
             raise KeyNotFoundError(key)
@@ -230,27 +242,32 @@ class CcehHashTable:
 
     def remove(self, key: int, core: CoreLike | None = None) -> None:
         """Delete ``key``; raises KeyNotFoundError when absent."""
-        core = core or NullCore()
-        load, tick = core.load, core.tick
         hashed = fnv1a_64(key)
-        tick(_HASH_COST)
+        timed = core is not None
+        if timed:
+            load, tick = core.load, core.tick
+            tick(_HASH_COST)
         dir_index = hashed >> (_HASH_BITS - self.global_depth)
-        load(self._directory_addr + dir_index * 8, 8)
         segment = self._directory[dir_index]
         first_bucket = segment.base_addr + CACHELINE_SIZE
         home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
+        if timed:
+            load(self._directory_addr + dir_index * 8, 8)
         for step in range(PROBE_DISTANCE):
             bucket_index = (home + step) % SEGMENT_BUCKETS
             bucket_addr = first_bucket + bucket_index * CACHELINE_SIZE
-            load(bucket_addr, 8)
+            if timed:
+                load(bucket_addr, 8)
             bucket = segment.buckets[bucket_index]
-            for slot, (existing_key, _) in enumerate(bucket):
-                tick(_COMPARE_COST)
-                if existing_key == key:
+            for slot, pair in enumerate(bucket):
+                if timed:
+                    tick(_COMPARE_COST)
+                if pair[0] == key:
                     bucket.pop(slot)
-                    core.store(bucket_addr + slot * PAIR_SIZE, PAIR_SIZE)
-                    core.clwb(bucket_addr)
-                    core.fence(self._fence)
+                    if timed:
+                        core.store(bucket_addr + slot * PAIR_SIZE, PAIR_SIZE)
+                        core.clwb(bucket_addr)
+                        core.fence(self._fence)
                     self.stats.removes += 1
                     return
         raise KeyNotFoundError(key)
@@ -275,7 +292,7 @@ class CcehHashTable:
 
     # -- resizing -------------------------------------------------------------------
 
-    def _split(self, segment: Segment, core: CoreLike) -> None:
+    def _split(self, segment: Segment, core: CoreLike | None) -> None:
         """Split ``segment``; doubles the directory when depths collide."""
         if segment.local_depth == self.global_depth:
             self._double_directory(core)
@@ -283,7 +300,9 @@ class CcehHashTable:
         new_depth = segment.local_depth + 1
         sibling = self._new_segment(depth=new_depth)
         segment.local_depth = new_depth
-        load, store, tick = core.load, core.store, core.tick
+        timed = core is not None
+        if timed:
+            load, store, tick = core.load, core.store, core.tick
         first_bucket = segment.base_addr + CACHELINE_SIZE
         sibling_buckets = sibling.buckets
         sibling_first = sibling.base_addr + CACHELINE_SIZE
@@ -293,34 +312,38 @@ class CcehHashTable:
         for bucket_index, bucket in enumerate(segment.buckets):
             if not bucket:
                 continue
-            load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
-            keep: list[tuple[int, int]] = []
-            for key, value in bucket:
-                hashed = fnv1a_64(key)
-                tick(_COMPARE_COST)
+            if timed:
+                load(first_bucket + bucket_index * CACHELINE_SIZE, 8)
+            keep: list[tuple[int, int, int]] = []
+            for pair in bucket:
+                hashed = pair[2]
+                if timed:
+                    tick(_COMPARE_COST)
                 if (hashed >> discriminant) & 1:
                     home = (hashed >> _BUCKET_SHIFT) & _BUCKET_MASK
                     for step in range(PROBE_DISTANCE):
                         candidate = (home + step) % SEGMENT_BUCKETS
                         moved_to = sibling_buckets[candidate]
                         if len(moved_to) < BUCKET_SLOTS:
-                            moved_to.append((key, value))
-                            store(
-                                sibling_first + candidate * CACHELINE_SIZE
-                                + (len(moved_to) - 1) * PAIR_SIZE,
-                                PAIR_SIZE,
-                            )
+                            moved_to.append(pair)
+                            if timed:
+                                store(
+                                    sibling_first + candidate * CACHELINE_SIZE
+                                    + (len(moved_to) - 1) * PAIR_SIZE,
+                                    PAIR_SIZE,
+                                )
                             break
                     else:
                         # Extremely unlikely; keep in place rather than
                         # recursing mid-split.
-                        keep.append((key, value))
+                        keep.append(pair)
                 else:
-                    keep.append((key, value))
+                    keep.append(pair)
             segment.buckets[bucket_index] = keep
-        # Persist the sibling wholesale (streaming flush).
-        core.clwb(sibling.base_addr, SEGMENT_BYTES)
-        core.fence(self._fence)
+        if timed:
+            # Persist the sibling wholesale (streaming flush).
+            core.clwb(sibling.base_addr, SEGMENT_BYTES)
+            core.fence(self._fence)
 
         # Repoint the directory entries that now map to the sibling.
         directory = self._directory
@@ -330,21 +353,24 @@ class CcehHashTable:
                 local_prefix = dir_index >> prefix_bits if prefix_bits >= 0 else dir_index
                 if local_prefix & 1:
                     directory[dir_index] = sibling
-                    entry_addr = self._directory_addr + dir_index * 8
-                    store(entry_addr, 8)
-                    core.clwb(entry_addr)
-        core.fence(self._fence)
+                    if timed:
+                        entry_addr = self._directory_addr + dir_index * 8
+                        store(entry_addr, 8)
+                        core.clwb(entry_addr)
+        if timed:
+            core.fence(self._fence)
 
-    def _double_directory(self, core: CoreLike) -> None:
+    def _double_directory(self, core: CoreLike | None) -> None:
         self.stats.directory_doublings += 1
         old = self._directory
         self.global_depth += 1
         new_addr = self._allocator.alloc(len(old) * 2 * 8, align=CACHELINE_SIZE)
         self._directory = [old[index // 2] for index in range(len(old) * 2)]
-        for line_offset in range(0, len(self._directory) * 8, CACHELINE_SIZE):
-            core.store(new_addr + line_offset, CACHELINE_SIZE)
-            core.clwb(new_addr + line_offset)
-        core.fence(self._fence)
+        if core is not None:
+            for line_offset in range(0, len(self._directory) * 8, CACHELINE_SIZE):
+                core.store(new_addr + line_offset, CACHELINE_SIZE)
+                core.clwb(new_addr + line_offset)
+            core.fence(self._fence)
         self._allocator.free(self._directory_addr, len(old) * 8)
         self._directory_addr = new_addr
 

@@ -30,8 +30,9 @@ class Segment:
 
     base_addr: int
     local_depth: int
-    #: buckets[i] is a list of (key, value) pairs, len <= BUCKET_SLOTS.
-    buckets: list[list[tuple[int, int]]] = field(
+    #: buckets[i] is a list of (key, value, hash of key) pairs,
+    #: len <= BUCKET_SLOTS; the stored hash spares a split from rehashing.
+    buckets: list[list[tuple[int, int, int]]] = field(
         default_factory=lambda: [[] for _ in range(SEGMENT_BUCKETS)]
     )
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.common.constants import CACHELINE_SIZE, XPLINE_SIZE
 from repro.common.errors import DataStoreError
 from repro.common.rng import DeterministicRng
-from repro.datastores.base import CoreLike, NullCore
+from repro.datastores.base import CoreLike
 from repro.persist.allocator import RegionAllocator
 
 
@@ -69,12 +69,11 @@ class PersistentLinkedList:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def traverse(self, core: CoreLike | None = None, start: int = 0, steps: int | None = None) -> int:
+    def traverse(self, core: CoreLike, start: int = 0, steps: int | None = None) -> int:
         """Pointer-chase ``steps`` elements (default: one full cycle).
 
         Returns the index where the walk stopped.
         """
-        core = core or NullCore()
         steps = len(self.elements) if steps is None else steps
         cursor = start
         for _ in range(steps):
@@ -85,7 +84,7 @@ class PersistentLinkedList:
 
     def update_pass(
         self,
-        core: CoreLike | None = None,
+        core: CoreLike,
         start: int = 0,
         steps: int | None = None,
         persist: bool = True,
@@ -97,7 +96,6 @@ class PersistentLinkedList:
         With ``persist=False`` the pass runs under the relaxed model
         (caller fences at the end).
         """
-        core = core or NullCore()
         steps = len(self.elements) if steps is None else steps
         cursor = start
         for _ in range(steps):

@@ -39,7 +39,6 @@ from repro.cache.prefetch import PrefetcherConfig
 from repro.common.constants import XPLINE_SIZE
 from repro.common.errors import DataStoreError, KeyNotFoundError
 from repro.common.rng import DEFAULT_SEED, DeterministicRng
-from repro.datastores.base import NullCore
 from repro.datastores.btree.fastfair import FastFairTree
 from repro.datastores.cceh.hashtable import CcehHashTable
 from repro.datastores.linkedlist import PersistentLinkedList
@@ -233,10 +232,9 @@ class BtreeRedoWorkload(CrashWorkload):
             self.datastore.check_invariants()
         except DataStoreError as error:
             problems.append(f"B+-tree invariants violated: {error}")
-        quiet = NullCore()
         for key in self.completed_keys:
             try:
-                self.datastore.get(key, quiet)
+                self.datastore.get(key)
             except KeyNotFoundError:
                 problems.append(f"completed insert of key {key} not found after recovery")
         return problems
@@ -275,9 +273,8 @@ class CcehWorkload(CrashWorkload):
             self.datastore.check_invariants()
         except DataStoreError as error:
             problems.append(f"CCEH invariants violated: {error}")
-        quiet = NullCore()
         for key in self.completed_keys:
-            if not self.datastore.contains(key, quiet):
+            if not self.datastore.contains(key):
                 problems.append(f"completed insert of key {key} not found after recovery")
         return problems
 

@@ -14,7 +14,6 @@ from repro.datastores.cceh import (
     CcehHashTable,
     Segment,
 )
-from repro.datastores.base import NullCore
 from repro.persist.allocator import PmHeap
 from repro.system.presets import g1_machine
 from repro.workloads.zipf import fnv1a_64
@@ -26,16 +25,28 @@ def make_table(initial_depth=2):
     return machine, CcehHashTable(heap.pm, initial_depth=initial_depth)
 
 
-class _LoadRecorder(NullCore):
+class _LoadRecorder:
     """A cost-free core that records the address of every load."""
 
     def __init__(self):
-        super().__init__()
+        self.now = 0.0
         self.addrs = []
 
     def load(self, addr, size=8):
         self.addrs.append(addr)
         return 0.0
+
+    def store(self, addr, size=8):
+        return 0.0
+
+    def clwb(self, addr, size=64):
+        return 0.0
+
+    def fence(self, kind="sfence"):
+        return 0.0
+
+    def tick(self, cycles):
+        pass
 
 
 class TestSegment:
@@ -72,7 +83,7 @@ class TestSegment:
 
     def test_load_factor(self):
         segment = Segment(base_addr=0, local_depth=1)
-        segment.buckets[0].append((1, 2))
+        segment.buckets[0].append((1, 2, fnv1a_64(1)))
         assert segment.pair_count() == 1
         assert 0 < segment.load_factor < 0.01
 

@@ -1,7 +1,6 @@
-"""Every core stand-in exposes the whole Core API, and wrappers are transparent.
+"""Every core wrapper exposes the whole Core API and is transparent.
 
-``NullCore`` must accept every op a data store may issue, and each
-``CoreProxy`` subclass (``InstrumentedCore``, ``HookedCore``) must
+Each ``CoreProxy`` subclass (``InstrumentedCore``, ``HookedCore``) must
 leave the wrapped core's clock and op counters exactly where a bare
 ``Core`` would be.
 """
@@ -9,7 +8,7 @@ leave the wrapped core's clock and op counters exactly where a bare
 import pytest
 
 from repro.core.analysis import InstrumentedCore
-from repro.datastores.base import OP_CLASSES, CoreProxy, NullCore
+from repro.datastores.base import OP_CLASSES, CoreProxy
 from repro.faults.hooks import EventTap, HookedCore
 from repro.persist.allocator import PmHeap
 from repro.system.machine import Core
@@ -20,8 +19,6 @@ CORE_OPS = (
     "load", "store", "nt_store", "stream_load", "clwb", "clflushopt", "clflush",
     "sfence", "mfence", "fence", "persist", "tick",
 )
-
-STANDALONE = {"NullCore": NullCore}
 
 WRAPPERS = {
     "CoreProxy": CoreProxy,
@@ -64,21 +61,11 @@ def test_core_ops_are_the_public_core_surface():
     assert set(OP_CLASSES) == set(CORE_OPS) - {"fence", "persist"}
 
 
-@pytest.mark.parametrize("name", [*STANDALONE, *WRAPPERS])
+@pytest.mark.parametrize("name", list(WRAPPERS))
 def test_exposes_every_core_op(name):
-    if name in STANDALONE:
-        core = STANDALONE[name]()
-    else:
-        core = WRAPPERS[name](machine_for(1).new_core())
+    core = WRAPPERS[name](machine_for(1).new_core())
     for op in CORE_OPS:
         assert callable(getattr(core, op, None)), f"{name} lacks {op}"
-    assert core.now == 0.0
-
-
-@pytest.mark.parametrize("name", list(STANDALONE))
-def test_zero_cost_cores_accept_the_full_sequence(name):
-    core = STANDALONE[name]()
-    _run_sequence(core, 1 << 40)
     assert core.now == 0.0
 
 

@@ -42,6 +42,11 @@ forwards it), as a positional argument to its class, or as a string
 key of a dict literal.  A field no product code sets is a constant and
 belongs next to its reader as one.  Names are matched, not types, so a
 keyword shared by two classes counts for both.
+
+A seventh rule catches write-only counters: every field of a top-level
+``*Stats`` dataclass under ``src/repro`` is loaded as an attribute
+somewhere in ``src/``, ``tests/``, ``examples/`` or ``perfbench/``, by
+the same test as the fourth rule (``stats.name += 1`` is a store only).
 """
 
 import ast
@@ -321,3 +326,16 @@ def test_every_config_field_is_read_and_varied():
             if field not in loaded or not varied:
                 flagged.append(f"{name}.{field}")
     assert not flagged, "config fields never read or never set (make them constants): " + ", ".join(flagged)
+
+
+def test_every_stats_field_is_read():
+    loaded = _all_loaded_attributes()
+    trees = [_parse(path) for path in sorted(SRC.rglob("*.py"))]
+    dead = [
+        f"{name}.{declaration.target.id}"
+        for name, declarations in _dataclass_fields(trees).items()
+        if name.endswith("Stats")
+        for declaration in declarations
+        if declaration.target.id not in loaded
+    ]
+    assert not dead, "stats fields counted but never read: " + ", ".join(dead)

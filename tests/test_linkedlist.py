@@ -52,7 +52,7 @@ class TestTraversal:
 
     def test_partial_traverse(self):
         machine, lst = make_list(16)
-        assert lst.traverse(steps=3) == 3
+        assert lst.traverse(machine.new_core(), steps=3) == 3
 
     def test_update_pass_persists_each_element(self):
         machine, lst = make_list(8)

@@ -1,5 +1,7 @@
 """Tests for the write-combining buffer (random eviction, write-back rules)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.buffers import write_buffer
 from repro.buffers.write_buffer import WriteBuffer
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
+from repro.dimm.config import OptaneDimmConfig
 
 
 def make(capacity_xplines=4, periodic=True, seed=1):
@@ -97,6 +100,66 @@ class TestEviction:
             writebacks = buffer.write(0.0, 99, 0)
             victims.add(writebacks[-1].xpline)
         assert len(victims) > 1  # not a fixed (FIFO/LRU) victim
+
+
+class TestRandomEvictionDraws:
+    """The inlined victim draw is ``random.Random(seed).randrange(n)``, draw for draw.
+
+    The reference replays the buffer's swap-remove key list with the
+    interpreter's own ``randrange``, redrawing while the victim is the
+    incoming line.
+    """
+
+    @staticmethod
+    def _reference_victims(seed, capacity_lines, incoming):
+        rng = random.Random(seed)
+        keys, victims, exclude_hits = [], [], 0
+        for xpline in incoming:
+            keys.append(xpline)
+            if len(keys) <= capacity_lines:
+                continue
+            while True:
+                victim = keys[rng.randrange(len(keys))]
+                if victim != xpline:
+                    break
+                exclude_hits += 1
+            index = keys.index(victim)
+            last = keys.pop()
+            if last != victim:
+                keys[index] = last
+            victims.append(victim)
+        return victims, exclude_hits, rng.random()
+
+    @pytest.mark.parametrize("capacity_bytes", [
+        256,
+        OptaneDimmConfig.g1().write_buffer_bytes,
+        OptaneDimmConfig.g2().write_buffer_bytes,
+    ])
+    @pytest.mark.parametrize("seed", [1, 7, 424242])
+    def test_victims_match_randrange(self, seed, capacity_bytes):
+        incoming = list(range(3_000))
+        buffer = WriteBuffer(capacity_bytes, rng=DeterministicRng(seed), periodic_writeback=False)
+        victims = []
+        for xpline in incoming:
+            victims += [w.xpline for w in buffer.write(0.0, xpline, 0)]
+        expected, exclude_hits, next_draw = self._reference_victims(
+            seed, buffer.capacity_lines, incoming
+        )
+        assert exclude_hits > 0
+        assert victims == expected
+        assert buffer._rng.random() == next_draw
+
+    @pytest.mark.parametrize("seed", [1, 7, 424242])
+    def test_single_line_draw_matches_randrange(self, seed):
+        # n = 1: the only line is evicted even though it is excluded,
+        # after the same rejection draws randrange(1) makes.
+        buffer = WriteBuffer(256, rng=DeterministicRng(seed))
+        buffer.write(0.0, 5, 0)
+        assert buffer._evict_random(exclude=5).xpline == 5
+        assert len(buffer) == 0 and buffer.resident_xplines() == []
+        reference = random.Random(seed)
+        assert reference.randrange(1) == 0
+        assert buffer._rng.random() == reference.random()
 
 
 class TestPeriodicWriteback:
