@@ -86,8 +86,9 @@ class WriteBuffer:
         #: Lower bound on the earliest periodic write-back due time
         #: (``full_since + WRITEBACK_PERIOD``) of any entry: lowered when
         #: a line becomes fully dirty, recomputed by every scan; stays
-        #: infinite without periodic write-back.
-        self._due_bound: Cycles = math.inf
+        #: infinite without periodic write-back.  Public so the DIMM
+        #: skips the :meth:`poll` call while ``now`` is below it.
+        self.due_bound: Cycles = math.inf
         # Parallel key list enabling O(1) uniform-random victim choice.
         self._keys: list[int] = []
         self._key_pos: dict[int, int] = {}
@@ -110,7 +111,7 @@ class WriteBuffer:
         periodic write-backs first, then a rewrite of the old version
         or an eviction if the install overflowed capacity.
         """
-        writebacks = self._collect_periodic(now) if now >= self._due_bound else []
+        writebacks = self._collect_periodic(now) if now >= self.due_bound else []
         bit = 1 << slot
         entry = self.entries.get(xpline)
         if entry is None:
@@ -137,7 +138,7 @@ class WriteBuffer:
             if entry.dirty_mask == FULL_XPLINE_MASK and entry.full_since is None:
                 entry.full_since = now
                 if self.periodic_writeback:
-                    self._due_bound = min(self._due_bound, now + WRITEBACK_PERIOD)
+                    self.due_bound = min(self.due_bound, now + WRITEBACK_PERIOD)
         return tuple(writebacks)
 
     def adopt_from_read_buffer(self, now: Cycles, xpline: int, slot: int) -> tuple[Writeback, ...]:
@@ -148,7 +149,7 @@ class WriteBuffer:
         needed — this is how the transition avoids the expensive
         read-modify-write.
         """
-        writebacks = self._collect_periodic(now) if now >= self._due_bound else []
+        writebacks = self._collect_periodic(now) if now >= self.due_bound else []
         self.entries[xpline] = WriteBufferEntry(1 << slot, FULL_XPLINE_MASK)
         self._key_pos[xpline] = len(self._keys)
         self._keys.append(xpline)
@@ -159,10 +160,11 @@ class WriteBuffer:
     def poll(self, now: Cycles) -> tuple[Writeback, ...]:
         """Collect periodic write-backs that came due by ``now``.
 
-        Called by the DIMM front-end on reads and idle checks so that
-        fully-dirty lines drain even without further writes.
+        Called by the DIMM front-end on reads (only once ``now`` has
+        reached :attr:`due_bound`) so that fully-dirty lines drain even
+        without further writes.
         """
-        if now < self._due_bound:
+        if now < self.due_bound:
             return ()
         return tuple(self._collect_periodic(now))
 
@@ -204,7 +206,7 @@ class WriteBuffer:
                     due.append(xpline)
                 elif due_at < bound:
                     bound = due_at
-        self._due_bound = bound
+        self.due_bound = bound
         return [self._pop(xpline, reason="periodic") for xpline in due]
 
     def _evict_random(self, exclude: int) -> Writeback:
@@ -256,4 +258,4 @@ class WriteBuffer:
         self.entries.clear()
         self._keys.clear()
         self._key_pos.clear()
-        self._due_bound = math.inf
+        self.due_bound = math.inf

@@ -2,13 +2,11 @@
 
 from repro.dimm.config import DramDimmConfig, OptaneDimmConfig
 from repro.dimm.dram import DramDimm
-from repro.dimm.optane import OptaneDimm, ReadResponse, WriteResponse
+from repro.dimm.optane import OptaneDimm
 
 __all__ = [
     "DramDimmConfig",
     "OptaneDimmConfig",
     "DramDimm",
     "OptaneDimm",
-    "ReadResponse",
-    "WriteResponse",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.common.constants import CACHELINE_SIZE
 from repro.dimm.config import DramDimmConfig
-from repro.dimm.optane import ReadResponse, WriteResponse
 from repro.sim.clock import Cycles
 from repro.sim.ports import ServicePorts
 from repro.stats.counters import TelemetryCounters
@@ -42,28 +41,26 @@ class DramDimm:
         self.read_ports = ServicePorts(READ_PORTS, f"{name}.read")
         self.write_ports = ServicePorts(WRITE_PORTS, f"{name}.write")
 
-    def read_line(self, now: Cycles, addr: int, demand: bool = True) -> ReadResponse:
-        """Serve one cacheline read (synchronous)."""
+    def read_line(self, now: Cycles, addr: int, demand: bool = True) -> tuple[Cycles, str]:
+        """Serve one cacheline read (synchronous): ``(finish, "media")``."""
         self.counters.imc_read_bytes += CACHELINE_SIZE
         if demand:
             self.counters.demand_read_bytes += CACHELINE_SIZE
         grant = self.read_ports.acquire(now, self.config.read_latency)
         self.counters.media_read_bytes += CACHELINE_SIZE
-        return ReadResponse(grant.finish, "media")
+        return grant.finish, "media"
 
-    def ingest_write(self, now: Cycles, addr: int) -> WriteResponse:
-        """Ingest one cacheline write drained from the WPQ."""
+    def ingest_write(self, now: Cycles, addr: int) -> tuple[Cycles, Cycles]:
+        """Ingest one cacheline write drained from the WPQ.
+
+        Returns ``(ingest_finish, persist_completion)`` as
+        :meth:`repro.dimm.optane.OptaneDimm.ingest_write` does.
+        """
         self.counters.imc_write_bytes += CACHELINE_SIZE
         grant = self.write_ports.acquire(now, self.config.write_latency)
         self.counters.media_write_bytes += CACHELINE_SIZE
         ingest_finish = now + INGEST_LATENCY
-        return WriteResponse(
-            ingest_finish=ingest_finish,
-            persist_completion=max(grant.finish, ingest_finish) + self.config.persist_drain_latency,
-        )
-
-    def idle_tick(self, now: Cycles) -> None:
-        """No time-driven machinery in DRAM."""
+        return ingest_finish, max(grant.finish, ingest_finish) + self.config.persist_drain_latency
 
     def reset(self) -> None:
         """Clear port state (counters are left alone)."""

@@ -17,8 +17,6 @@ paper's inferred behaviours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.constants import CACHELINE_SIZE, FULL_XPLINE_MASK, XPLINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.buffers.read_buffer import ReadBuffer
@@ -32,25 +30,6 @@ from repro.stats.counters import TelemetryCounters
 INGEST_LATENCY = 40.0
 #: DDR-T burst transfer to the iMC after the media read completes.
 TRANSFER_LATENCY = 30.0
-
-
-@dataclass(slots=True)
-class ReadResponse:
-    """Timing and provenance of one 64 B read."""
-
-    finish: Cycles
-    #: Where the data came from: "write-buffer", "read-buffer", "media".
-    source: str
-
-
-@dataclass(slots=True)
-class WriteResponse:
-    """Timing of one 64 B write ingested through the WPQ."""
-
-    #: When the DIMM accepted the line (WPQ slot freed; store "done").
-    ingest_finish: Cycles
-    #: When the flush is complete on the DIMM (read-after-persist gate).
-    persist_completion: Cycles
 
 
 class OptaneDimm:
@@ -82,15 +61,22 @@ class OptaneDimm:
 
     # -- read path ---------------------------------------------------------
 
-    def read_line(self, now: Cycles, addr: int, demand: bool = True) -> ReadResponse:
-        """Serve one cacheline read arriving at the DIMM at ``now``."""
+    def read_line(self, now: Cycles, addr: int, demand: bool = True) -> tuple[Cycles, str]:
+        """Serve one cacheline read arriving at the DIMM at ``now``.
+
+        Returns ``(finish, source)``: when the data is back at the iMC
+        and where it came from ("write-buffer", "write-buffer-fill",
+        "read-buffer" or "media").
+        """
         counters = self.counters
         counters.imc_read_bytes += CACHELINE_SIZE
         if demand:
             counters.demand_read_bytes += CACHELINE_SIZE
         write_buffer = self.write_buffer
-        for writeback in write_buffer.poll(now):
-            self._schedule_writeback(now, writeback)
+        # poll returns nothing below the bound, so it is called only at it.
+        if now >= write_buffer.due_bound:
+            for writeback in write_buffer.poll(now):
+                self._schedule_writeback(now, writeback)
 
         xpline = addr // XPLINE_SIZE
         slot = addr % XPLINE_SIZE // CACHELINE_SIZE
@@ -101,7 +87,7 @@ class OptaneDimm:
             counters.read_buffer_hits += 1
             if trace is not None:
                 trace.instant("wbuf", "read-hit", now, self.name, addr=addr)
-            return ReadResponse(now + self.config.buffer_read_latency, "write-buffer")
+            return now + self.config.buffer_read_latency, "write-buffer"
 
         if entry is not None:
             # The XPLine is buffered but this slot's data is not held:
@@ -116,26 +102,33 @@ class OptaneDimm:
             if trace is not None:
                 trace.instant("wbuf", "underfill-fill", now, self.name, addr=addr)
                 trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
-            return ReadResponse(grant.finish + TRANSFER_LATENCY, "write-buffer-fill")
+            return grant.finish + TRANSFER_LATENCY, "write-buffer-fill"
 
-        if self.read_buffer.deliver(xpline, slot):
+        # deliver misses without a change for an XPLine it does not hold.
+        read_buffer = self.read_buffer
+        if xpline in read_buffer.entries and read_buffer.deliver(xpline, slot):
             counters.read_buffer_hits += 1
             if trace is not None:
                 trace.instant("rbuf", "hit", now, self.name, addr=addr)
-            return ReadResponse(now + self.config.buffer_read_latency, "read-buffer")
+            return now + self.config.buffer_read_latency, "read-buffer"
 
         counters.read_buffer_misses += 1
         grant = self.media.read_xpline(now, addr)
-        self.read_buffer.install(xpline, (slot,))
+        read_buffer.install(xpline, (slot,))
         if trace is not None:
             trace.instant("rbuf", "miss", now, self.name, addr=addr)
             trace.span("media", "read-xpline", now, grant.finish, self.name, addr=addr)
-        return ReadResponse(grant.finish + TRANSFER_LATENCY, "media")
+        return grant.finish + TRANSFER_LATENCY, "media"
 
     # -- write path ----------------------------------------------------------
 
-    def ingest_write(self, now: Cycles, addr: int) -> WriteResponse:
-        """Ingest one cacheline write drained from the WPQ at ``now``."""
+    def ingest_write(self, now: Cycles, addr: int) -> tuple[Cycles, Cycles]:
+        """Ingest one cacheline write drained from the WPQ at ``now``.
+
+        Returns ``(ingest_finish, persist_completion)``: when the DIMM
+        accepted the line (its WPQ slot frees) and when the flush is
+        complete on the DIMM (the read-after-persist gate).
+        """
         counters = self.counters
         counters.imc_write_bytes += CACHELINE_SIZE
         xpline = addr // XPLINE_SIZE
@@ -170,12 +163,7 @@ class OptaneDimm:
             # write bandwidth (of any pattern) to the media drain rate.
             ingest_finish = max(ingest_finish, write_start + INGEST_LATENCY)
 
-        return WriteResponse(ingest_finish, ingest_finish + self.config.persist_drain_latency)
-
-    def idle_tick(self, now: Cycles) -> None:
-        """Let time-driven machinery (periodic write-back) advance."""
-        for writeback in self.write_buffer.poll(now):
-            self._schedule_writeback(now, writeback)
+        return ingest_finish, ingest_finish + self.config.persist_drain_latency
 
     def drain_for_power_failure(self, now: Cycles) -> int:
         """ADR drain: flush the whole write buffer to the media.

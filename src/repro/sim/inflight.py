@@ -20,10 +20,14 @@ class InflightPersists:
     """Completion times of outstanding persists, keyed by cacheline index."""
 
     def __init__(self) -> None:
-        self._completion_by_line: dict[int, Cycles] = {}
+        #: Cacheline index -> completion time of its latest persist.
+        #: Public so the hot path can test membership before it calls
+        #: :meth:`completion_for`: a line that is not a key has no
+        #: persist in flight and nothing to prune.
+        self.completion_by_line: dict[int, Cycles] = {}
 
     def __len__(self) -> int:
-        return len(self._completion_by_line)
+        return len(self.completion_by_line)
 
     def add(self, line_index: int, completion: Cycles) -> None:
         """Record that ``line_index`` has a persist completing at ``completion``.
@@ -31,9 +35,9 @@ class InflightPersists:
         A newer persist to the same line supersedes the old entry only
         if it completes later (persists to one line drain in order).
         """
-        previous = self._completion_by_line.get(line_index, 0.0)
+        previous = self.completion_by_line.get(line_index, 0.0)
         if completion > previous:
-            self._completion_by_line[line_index] = completion
+            self.completion_by_line[line_index] = completion
 
     def completion_for(self, line_index: int, now: Cycles) -> Cycles | None:
         """Completion time of an in-flight persist to ``line_index``.
@@ -41,14 +45,14 @@ class InflightPersists:
         Returns ``None`` if there is no persist still in flight at
         ``now``.  Entries whose completion has passed are pruned lazily.
         """
-        completion = self._completion_by_line.get(line_index)
+        completion = self.completion_by_line.get(line_index)
         if completion is None:
             return None
         if completion <= now:
-            del self._completion_by_line[line_index]
+            del self.completion_by_line[line_index]
             return None
         return completion
 
     def clear(self) -> None:
         """Forget all in-flight persists (e.g. simulated power cycle)."""
-        self._completion_by_line.clear()
+        self.completion_by_line.clear()

@@ -62,15 +62,17 @@ class IMCChannel:
 
     # -- read side ---------------------------------------------------------
 
-    def read(self, now: Cycles, addr: int, demand: bool = True):
-        """Synchronous cacheline read from the DIMM."""
+    def read(self, now: Cycles, addr: int, demand: bool = True) -> tuple[Cycles, str]:
+        """Synchronous cacheline read from the DIMM: ``(finish, source)``."""
         return self.device.read_line(now, addr, demand)
 
     def persist_stall(self, now: Cycles, addr: int) -> Cycles | None:
         """Completion time of an in-flight persist covering ``addr``.
 
         Returns None when no persist is outstanding — the read can
-        proceed immediately.
+        proceed immediately.  The machine's loads call it only for a
+        line that is a key of ``inflight.completion_by_line``: for any
+        other line it returns None and prunes nothing.
         """
         return self.inflight.completion_for(addr // CACHELINE_SIZE, now)
 
@@ -94,28 +96,29 @@ class IMCChannel:
         acceptance = ready + self.ACCEPT_LATENCY
         line = addr // CACHELINE_SIZE
         inflight = self.inflight
-        prior = inflight.completion_for(line, now)
-        if prior is not None:
-            acceptance += min(prior - now, self.SAME_LINE_HAZARD_CAP)
-        response = self.device.ingest_write(acceptance, addr)
-        busy[index] = response.ingest_finish
-        inflight.add(line, response.persist_completion)
+        # A line that is not a key has nothing in flight and nothing to
+        # prune; a key is looked up even if stale, so the lookup prunes it.
+        if line in inflight.completion_by_line:
+            prior = inflight.completion_for(line, now)
+            if prior is not None:
+                acceptance += min(prior - now, self.SAME_LINE_HAZARD_CAP)
+        else:
+            prior = None
+        ingest_finish, persist_completion = self.device.ingest_write(acceptance, addr)
+        busy[index] = ingest_finish
+        inflight.add(line, persist_completion)
         trace = self.trace
         if trace is not None:
             trace.counter("imc", "wpq", now, self.wpq_occupancy(now), self.name)
             if ready > now:
                 trace.span("imc", "wpq-full", now, ready, self.name, addr=addr)
-        return WpqGrant(ready, acceptance, response.persist_completion, prior is not None)
+        return WpqGrant(ready, acceptance, persist_completion, prior is not None)
 
     # -- maintenance ------------------------------------------------------------
 
     def wpq_occupancy(self, now: Cycles) -> int:
         """Number of WPQ slots still busy at ``now``."""
         return sum(1 for busy in self._wpq_busy if busy > now)
-
-    def idle_tick(self, now: Cycles) -> None:
-        """Forward time-driven maintenance to the device."""
-        self.device.idle_tick(now)
 
     def power_cycle(self) -> None:
         """Clear pending WPQ occupancy and in-flight persists only.

@@ -303,7 +303,10 @@ class Machine:
     # calls an untraced access makes are to the cache hierarchy, the
     # iMC channel and what they call in turn.  Methods of other objects
     # are looked up per call, never bound at construction, so a class
-    # patched after a machine or core was built is still reached.
+    # patched after a machine or core was built is still reached.  A
+    # load asks the channel for a read-after-persist stall only when its
+    # line is a key of the in-flight tracker: any other line has no
+    # persist in flight and no stale entry to prune.
 
     def demand_load(self, now: Cycles, addr: int, core: "Core") -> Cycles:
         """One 64 B demand load; returns its completion time."""
@@ -326,7 +329,11 @@ class Machine:
             if not region.base <= addr < region.end:
                 region = self.region_of(addr)
             channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
-            stall = channel.persist_stall(sent, addr)
+            # Only a tracked line can have a persist in flight.
+            if line in channel.inflight.completion_by_line:
+                stall = channel.persist_stall(sent, addr)
+            else:
+                stall = None
             if stall is not None and line in core.recent_flushes:
                 # The load overtakes the flush (sfence does not order
                 # loads) and is served from the pre-flush cached copy.
@@ -339,8 +346,7 @@ class Machine:
                     if trace is not None and stall > sent:
                         trace.span("persist", "rap-stall", sent, stall, core.name, addr=addr)
                     sent = max(sent, stall)
-                response = channel.read(sent, addr, True)
-                finish = response.finish
+                finish, source = channel.read(sent, addr, True)
                 if region.spec.remote:
                     finish += region.spec.remote_read_adder
                 writebacks = self.caches.fill(line, False, True)
@@ -348,7 +354,7 @@ class Machine:
                     self._handle_llc_writebacks(writebacks, sent)
                 if trace is not None:
                     trace.span("cache", "load-miss", start, finish, core.name,
-                               addr=addr, source=response.source)
+                               addr=addr, source=source)
         prefetch = self.prefetch
         if prefetch.enabled:
             candidates = prefetch.observe(line, result.hit_level)
@@ -406,18 +412,18 @@ class Machine:
         if not region.base <= addr < region.end:
             region = self.region_of(addr)
         channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
-        stall = channel.persist_stall(now, addr)
-        if stall is not None:
-            if trace is not None and stall > now:
-                trace.span("persist", "rap-stall", now, stall, None, addr=addr)
-            now = max(now, stall)
-        response = channel.read(now, addr, True)
-        finish = response.finish
+        if addr // CACHELINE_SIZE in channel.inflight.completion_by_line:
+            stall = channel.persist_stall(now, addr)
+            if stall is not None:
+                if trace is not None and stall > now:
+                    trace.span("persist", "rap-stall", now, stall, None, addr=addr)
+                now = max(now, stall)
+        finish, source = channel.read(now, addr, True)
         if region.spec.remote:
             finish += region.spec.remote_read_adder
         if trace is not None:
             trace.span("cache", "stream-load", start, finish, None,
-                       addr=addr, source=response.source)
+                       addr=addr, source=source)
         return finish
 
     def flush_line(self, now: Cycles, addr: int, core: "Core", invalidate: bool) -> Cycles:
@@ -519,7 +525,7 @@ class Machine:
             if fill_done is not None and fill_done > now:
                 continue
             channel = region.channels[(addr - region.base) // INTERLEAVE_BYTES % region.n_channels]
-            finish = channel.read(now, addr, False).finish
+            finish = channel.read(now, addr, False)[0]
             if region.spec.remote:
                 finish += region.spec.remote_read_adder
             writebacks = caches.fill(line, False, False)

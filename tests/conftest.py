@@ -23,3 +23,25 @@ def pytest_collection_modifyitems(items):
             and item.get_closest_marker("campaign") is None
         ):
             item.add_marker(pytest.mark.fast)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for one test.
+
+    Returns the list the wrapper appends each call's arguments to (after
+    ``self``), so a test can assert which calls a path made.
+    """
+
+    def wrap(owner, name):
+        original = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return wrap

@@ -79,8 +79,7 @@ class TestReadBufferProperties:
         dimm = OptaneDimm(OptaneDimmConfig.g1(), counters, DeterministicRng(7))
         now = 0.0
         for offset in line_offsets:
-            response = dimm.read_line(now, offset * CACHELINE_SIZE)
-            now = response.finish
+            now, _ = dimm.read_line(now, offset * CACHELINE_SIZE)
         assert counters.imc_read_bytes == len(line_offsets) * CACHELINE_SIZE
         assert counters.media_read_bytes >= counters.imc_read_bytes
 

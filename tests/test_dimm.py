@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.buffers.read_buffer import ReadBuffer
+from repro.buffers.write_buffer import WRITEBACK_PERIOD, WriteBuffer
 from repro.common.rng import DeterministicRng
 from repro.common.units import kib
 from repro.dimm.config import DramDimmConfig, OptaneDimmConfig
@@ -52,45 +54,45 @@ class TestOptaneConfig:
 class TestOptaneReadPath:
     def test_cold_read_goes_to_media(self):
         dimm, counters = make_optane()
-        response = dimm.read_line(0.0, 0)
-        assert response.source == "media"
+        _, source = dimm.read_line(0.0, 0)
+        assert source == "media"
         assert counters.media_read_bytes == 256
         assert counters.imc_read_bytes == 64
 
     def test_sibling_cacheline_hits_read_buffer(self):
         dimm, counters = make_optane()
         dimm.read_line(0.0, 0)
-        response = dimm.read_line(1000.0, 64)
-        assert response.source == "read-buffer"
+        _, source = dimm.read_line(1000.0, 64)
+        assert source == "read-buffer"
         assert counters.media_read_bytes == 256  # no second media read
 
     def test_exclusivity_same_line_rereads_media(self):
         dimm, counters = make_optane()
         dimm.read_line(0.0, 0)
-        response = dimm.read_line(1000.0, 0)
-        assert response.source == "media"
+        _, source = dimm.read_line(1000.0, 0)
+        assert source == "media"
         assert counters.media_read_bytes == 512
 
     def test_buffer_hit_faster_than_media(self):
         dimm, _ = make_optane()
-        cold = dimm.read_line(0.0, 0)
-        warm = dimm.read_line(cold.finish, 64)
-        assert warm.finish - cold.finish < cold.finish
+        cold, _ = dimm.read_line(0.0, 0)
+        warm, _ = dimm.read_line(cold, 64)
+        assert warm - cold < cold
 
     def test_read_served_from_write_buffer(self):
         dimm, counters = make_optane()
         dimm.ingest_write(0.0, 0)
-        response = dimm.read_line(1000.0, 0)
-        assert response.source == "write-buffer"
+        _, source = dimm.read_line(1000.0, 0)
+        assert source == "write-buffer"
 
     def test_unwritten_slot_triggers_rmw_fill(self):
         dimm, counters = make_optane()
         dimm.ingest_write(0.0, 0)  # slot 0 dirty
-        response = dimm.read_line(1000.0, 64)  # slot 1: not held yet
-        assert response.source == "write-buffer-fill"
+        _, source = dimm.read_line(1000.0, 64)  # slot 1: not held yet
+        assert source == "write-buffer-fill"
         assert counters.media_read_bytes == 256
         # After the fill, every slot of the XPLine is servable cheaply.
-        assert dimm.read_line(2000.0, 128).source == "write-buffer"
+        assert dimm.read_line(2000.0, 128)[1] == "write-buffer"
         assert counters.media_read_bytes == 256  # no second media read
 
     def test_demand_flag_controls_demand_counter(self):
@@ -99,6 +101,34 @@ class TestOptaneReadPath:
         assert counters.demand_read_bytes == 0
         dimm.read_line(0.0, 64, demand=True)
         assert counters.demand_read_bytes == 64
+
+
+class TestOptaneReadGuards:
+    """A read enters a buffer only when that buffer has work for it."""
+
+    def test_read_buffer_asked_only_for_resident_xpline(self, count_calls):
+        dimm, counters = make_optane()
+        delivers = count_calls(ReadBuffer, "deliver")
+        assert dimm.read_line(0.0, 0)[1] == "media"
+        assert delivers == []  # XPLine 0 was not resident
+        assert dimm.read_line(1000.0, 64)[1] == "read-buffer"
+        assert delivers == [(0, 1)]
+        assert counters.read_buffer_hits == 1
+        # Slot 0 was consumed by the fetch: asked, missed, refetched.
+        assert dimm.read_line(2000.0, 0)[1] == "media"
+        assert delivers == [(0, 1), (0, 0)]
+
+    def test_write_buffer_polled_only_once_due(self, count_calls):
+        dimm, counters = make_optane(1)
+        for slot in range(4):
+            dimm.ingest_write(0.0, slot * 64)
+        assert dimm.write_buffer.due_bound == WRITEBACK_PERIOD
+        polls = count_calls(WriteBuffer, "poll")
+        dimm.read_line(WRITEBACK_PERIOD - 1, 4096)
+        assert polls == [] and counters.periodic_writebacks == 0
+        dimm.read_line(WRITEBACK_PERIOD, 8192)
+        assert polls == [(WRITEBACK_PERIOD,)]
+        assert counters.periodic_writebacks == 1
 
 
 class TestOptaneWritePath:
@@ -123,8 +153,8 @@ class TestOptaneWritePath:
 
     def test_persist_completion_after_ingest(self):
         dimm, _ = make_optane()
-        response = dimm.ingest_write(0.0, 0)
-        assert response.persist_completion > response.ingest_finish
+        ingest_finish, persist_completion = dimm.ingest_write(0.0, 0)
+        assert persist_completion > ingest_finish
 
     def test_write_hit_on_same_xpline(self):
         dimm, counters = make_optane()
@@ -140,13 +170,15 @@ class TestOptaneWritePath:
         assert 0 not in dimm.read_buffer.entries
         assert 0 in dimm.write_buffer.entries
         # The adopted line can now serve reads for any slot.
-        assert dimm.read_line(2000.0, 128).source == "write-buffer"
+        assert dimm.read_line(2000.0, 128)[1] == "write-buffer"
 
     def test_g1_periodic_writeback_of_full_lines(self):
         dimm, counters = make_optane(1)
         for slot in range(4):
             dimm.ingest_write(0.0, slot * 64)
-        dimm.idle_tick(100_000.0)
+        # A later read of another XPLine polls the buffer: the full
+        # line has been due since WRITEBACK_PERIOD and drains now.
+        dimm.read_line(100_000.0, 4096)
         assert counters.periodic_writebacks == 1
         assert counters.media_write_bytes == 256
 
@@ -154,7 +186,8 @@ class TestOptaneWritePath:
         dimm, counters = make_optane(2)
         for slot in range(4):
             dimm.ingest_write(0.0, slot * 64)
-        dimm.idle_tick(100_000.0)
+        dimm.read_line(100_000.0, 4096)
+        assert counters.periodic_writebacks == 0
         assert counters.media_write_bytes == 0
 
     def test_power_failure_drain(self):
@@ -174,17 +207,18 @@ class TestDramDimm:
 
     def test_read(self):
         dimm, counters = self.make()
-        response = dimm.read_line(0.0, 0)
+        finish, source = dimm.read_line(0.0, 0)
         assert counters.imc_read_bytes == 64
         assert counters.media_read_bytes == 64
-        assert response.finish > 0
+        assert finish > 0
+        assert source == "media"
 
     def test_write_persist_completion_fast_relative_to_optane(self):
         dram, _ = self.make()
         optane, _ = make_optane()
-        dram_resp = dram.ingest_write(0.0, 0)
-        optane_resp = optane.ingest_write(0.0, 0)
-        assert dram_resp.persist_completion < optane_resp.persist_completion
+        _, dram_completion = dram.ingest_write(0.0, 0)
+        _, optane_completion = optane.ingest_write(0.0, 0)
+        assert dram_completion < optane_completion
 
     def test_no_amplification(self):
         dimm, counters = self.make()

@@ -15,8 +15,12 @@ and allocator when a segment splits.
 The budgets pin what the flattened paths reach: each op calls the
 layer boundaries (machine, iMC, cache hierarchy, prefetch engine, DIMM,
 buffers, media, ports, in-flight persists) and the constructors of
-their result records, nothing in between; an access with prefetch
-candidates makes one issue call for all of them.  A change that puts a
+their grant records, nothing in between; an access with prefetch
+candidates makes one issue call for all of them.  A layer is entered
+only when it has work: a load asks for a read-after-persist stall only
+for a line the in-flight tracker holds, and the DIMM polls its write
+buffer only once a periodic write-back may be due and asks its read
+buffer only for an XPLine the buffer holds.  A change that puts a
 helper back on a path fails here; one that takes more calls off should
 lower the pin.
 """
@@ -24,15 +28,19 @@ lower the pin.
 import functools
 import gc
 import sys
+from collections import Counter
 
 import pytest
 
+from repro.buffers.write_buffer import WriteBuffer
 from repro.cache.prefetch import PrefetcherConfig
 from repro.core import microbench
 from repro.core.microbench.pointer_chase import PointerChaseBench
 from repro.datastores.cceh import CcehHashTable
 from repro.persist.allocator import PmHeap
 from repro.persist.persistency import FenceKind, FlushKind, PersistencyModel
+from repro.sim.inflight import InflightPersists
+from repro.system.imc import IMCChannel
 from repro.system.presets import machine_for
 from repro.workloads.ycsb import insert_only_stream
 
@@ -91,29 +99,29 @@ POINTS = {
         lambda: _kernel(microbench.run_strided_read,
                         wss=WSS, cachelines_per_xpline=2, cycles_over_region=4),
         2 * 4 * XPLINES * 2,  # one load + one clflushopt per address
-        8.30,
+        6.24,
     ),
     "rap_clwb_mfence": (
         lambda: _kernel(microbench.run_rap_iterations, region="pm", flush=FlushKind.CLWB,
                         fence=FenceKind.MFENCE, distance=3, passes=4),
         4 * 64 * 4,  # store + clwb + mfence + load per iteration
-        7.03,
+        6.11,
     ),
     "write_amplification": (
         lambda: _kernel(microbench.run_write_amplification,
                         wss=WSS, written_cachelines=2, passes=4),
         4 * XPLINES * 2,
-        10.21,
+        8.96,
     ),
     "pointer_chase_prefetch": (
         _pointer_chase,
         2 * CHASE_STEPS,  # warm-up + measured chain steps
-        61.98,
+        48.97,
     ),
     "cceh_insert": (
         _cceh_inserts,
         CCEH_INSERTS,
-        79.27,
+        66.81,
     ),
     "cceh_populate": (
         _cceh_populate,
@@ -123,20 +131,18 @@ POINTS = {
 }
 
 
-def calls_per_op(name: str) -> float:
-    """Python calls per simulated op of one timed call on a fresh setup.
+def calls_by_code(name: str) -> Counter:
+    """Python calls of one timed call on a fresh setup, per code object.
 
     The timed call is a ``functools.partial`` where it can be, so the
     count holds the kernel's own frames only.
     """
-    build, ops, _ = POINTS[name]
-    timed = build()
-    calls = 0
+    timed = POINTS[name][0]()
+    calls = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
         if event == "call":
-            calls += 1
+            calls[frame.f_code] += 1
 
     # A collection inside the kernel would run finalizers of unrelated
     # garbage and count their calls.
@@ -151,9 +157,22 @@ def calls_per_op(name: str) -> float:
         sys.setprofile(previous)
         if collecting:
             gc.enable()
-    return calls / ops
+    return calls
+
+
+def calls_per_op(name: str) -> float:
+    """Python calls per simulated op of one timed call on a fresh setup."""
+    return sum(calls_by_code(name).values()) / POINTS[name][1]
 
 
 @pytest.mark.parametrize("name", list(POINTS))
 def test_calls_per_op_within_pinned_budget(name):
     assert calls_per_op(name) <= POINTS[name][2]
+
+
+def test_strided_read_enters_no_idle_layer():
+    # The clflushopt after each load finds a clean line, so nothing is
+    # ever persisted: no line is tracked and no write-back comes due.
+    calls = calls_by_code("strided_read")
+    for idle in (IMCChannel.persist_stall, InflightPersists.completion_for, WriteBuffer.poll):
+        assert calls[idle.__code__] == 0, idle.__qualname__

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.cache.prefetch import PrefetcherConfig
+from repro.common.constants import CACHELINE_SIZE
 from repro.common.rng import DeterministicRng
 from repro.dimm.config import OptaneDimmConfig
-from repro.dimm.optane import OptaneDimm, WriteResponse
+from repro.dimm.optane import OptaneDimm
+from repro.sim.inflight import InflightPersists
 from repro.stats.counters import TelemetryCounters
 from repro.system.imc import IMCChannel
+from repro.system.presets import machine_for
 
 
 @pytest.fixture
@@ -54,7 +58,7 @@ class FixedIngestDevice:
 
     def ingest_write(self, now, addr):
         finish = now + next(self._ingest_times)
-        return WriteResponse(ingest_finish=finish, persist_completion=finish + 1000.0)
+        return finish, finish + 1000.0
 
 
 class TestWpqSlotPick:
@@ -131,8 +135,9 @@ class TestSameLineHazard:
 class TestReadSide:
     def test_read_delegates_to_device(self):
         channel = make_channel()
-        response = channel.read(0.0, 0)
-        assert response.finish > 0
+        finish, source = channel.read(0.0, 0)
+        assert finish > 0
+        assert source == "media"
         assert channel.device.counters.imc_read_bytes / 64 == 1
 
     def test_persist_stall_visibility(self):
@@ -148,3 +153,71 @@ class TestReadSide:
         channel.reset()
         assert channel.wpq_occupancy(0.0) == 0
         assert channel.persist_stall(0.0, 0) is None
+
+
+class TestTrackerGuards:
+    """The in-flight tracker is asked about a line only if it holds it.
+
+    Skipping the lookup for any other line is exact: it would return
+    None and prune nothing.  A stale key (its persist already complete)
+    is still looked up, so the lookup prunes it as it always has.
+    """
+
+    def machine_with_tracked_line(self):
+        machine = machine_for(1, seed=1, prefetchers=PrefetcherConfig.none())
+        core = machine.new_core()
+        tracked = machine.region_spec("pm").base
+        core.store(tracked, 8)
+        core.clwb(tracked)
+        core.mfence()
+        channel = machine.channels()["pm0"]
+        assert list(channel.inflight.completion_by_line) == [tracked // CACHELINE_SIZE]
+        return machine, core, channel, tracked
+
+    def test_load_of_untracked_line_asks_no_stall(self, count_calls):
+        machine, core, channel, tracked = self.machine_with_tracked_line()
+        stalls = count_calls(IMCChannel, "persist_stall")
+        other = tracked + 8 * 4096  # same channel, not tracked
+        assert machine.region_of(other).channel_for(other) is channel
+        core.load(other, 8)
+        core.stream_load(other + CACHELINE_SIZE)
+        assert stalls == []
+        assert core.load(tracked, 8) > 800  # the tracked line still stalls
+        assert len(stalls) == 1
+
+    def test_write_of_untracked_line_skips_lookup(self, count_calls):
+        channel = make_channel()
+        channel.write(0.0, 0)
+        lookups = count_calls(InflightPersists, "completion_for")
+        grant = channel.write(10.0, 4096)
+        assert lookups == [] and not grant.reflush
+        assert channel.write(20.0, 0).reflush
+        assert lookups == [(0, 20.0)]
+
+    def test_stale_entry_pruned_by_write_and_readded(self, count_calls):
+        channel = make_channel()
+        first = channel.write(0.0, 0)
+        lookups = count_calls(InflightPersists, "completion_for")
+        late = first.persist_completion + 10
+        again = channel.write(late, 0)
+        assert lookups == [(0, late)]
+        assert not again.reflush
+        assert again.acceptance == late + channel.ACCEPT_LATENCY  # no hazard
+        assert channel.inflight.completion_by_line == {0: again.persist_completion}
+
+    def test_stale_entry_pruned_by_load(self):
+        # A load from a core whose clock has passed the completion drops
+        # the entry, so a core with a skewed (earlier) clock then sees no
+        # persist in flight: its load does not stall, and its write pays
+        # no hazard and leaves only its own completion behind.
+        machine, core, channel, tracked = self.machine_with_tracked_line()
+        line = tracked // CACHELINE_SIZE
+        completion = channel.inflight.completion_by_line[line]
+        core.tick(completion - core.now + 10)
+        core.load(tracked, 8)
+        assert line not in channel.inflight.completion_by_line
+        skewed = machine.new_core("cpu1")
+        assert skewed.stream_load(tracked) < 800  # no stall: nothing in flight
+        grant = channel.write(skewed.now, tracked)
+        assert not grant.reflush
+        assert channel.inflight.completion_by_line == {line: grant.persist_completion}

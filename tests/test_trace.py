@@ -11,9 +11,13 @@ run).
 import hashlib
 import json
 
+from collections import Counter
+
 import pytest
 
+from repro.cache.prefetch import PrefetcherConfig
 from repro.common.errors import ConfigError
+from repro.core.microbench import run_strided_read
 from repro.core.microbench.rap import run_rap_iterations
 from repro.experiments import fig02, fig07
 from repro.persist import PmHeap
@@ -251,6 +255,37 @@ class TestSession:
             for i in range(5):
                 sess.tracer.instant("persist", "store", float(i), "cpu0")
         assert "3 events dropped (cap)" in sess.summary()
+
+
+class TestLoadSourcePayload:
+    """Each DIMM read span names where its data came from."""
+
+    def test_sources_match_dimm_counters(self):
+        with session() as sess:
+            machine = machine_for(1, seed=1, prefetchers=PrefetcherConfig.none())
+            # Two lines per XPLine: the second is served by the read buffer.
+            run_strided_read(machine, wss=4096, cachelines_per_xpline=2,
+                             cycles_over_region=2)
+            # An nt-store leaves its line in the write buffer: a streaming
+            # load of it hits there, and one of its unwritten sibling
+            # completes the entry with one media read.
+            core = machine.new_core()
+            addr = machine.region_spec("pm").base + (1 << 20)
+            core.nt_store(addr)
+            core.mfence()
+            core.stream_load(addr)
+            core.stream_load(addr + 64)
+        spans = [event for event in sess.tracer.events if event.category == "cache"
+                 and event.name in ("load-miss", "stream-load")]
+        sources = Counter(event.args["source"] for event in spans)
+        assert set(sources) == {"write-buffer", "write-buffer-fill", "read-buffer", "media"}
+        assert sources["write-buffer"] == 1 and sources["write-buffer-fill"] == 1
+        counters = machine.pm_counters()
+        assert len(spans) * 64 == counters.imc_read_bytes
+        assert sources["write-buffer"] + sources["read-buffer"] == counters.read_buffer_hits
+        assert sources["write-buffer-fill"] + sources["media"] == counters.read_buffer_misses
+        assert sources["write-buffer-fill"] == counters.underfill_reads
+        assert (sources["write-buffer-fill"] + sources["media"]) * 256 == counters.media_read_bytes
 
 
 class TestChromeExport:

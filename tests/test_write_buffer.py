@@ -246,9 +246,9 @@ class TestPeriodicWriteback:
         buffer = make()
         for slot in range(4):
             buffer.write(0.0, 1, slot)
-        assert buffer._due_bound == 1000.0
+        assert buffer.due_bound == 1000.0
         buffer.clear()
-        assert buffer._due_bound == float("inf")
+        assert buffer.due_bound == float("inf")
 
 
 class TestTransition:
